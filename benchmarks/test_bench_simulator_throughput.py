@@ -3,8 +3,7 @@
 Not a paper artifact — these justify the tiered design documented in
 DESIGN.md by measuring the cost of one estimation round per tier, and
 the batched experiment engine against the per-repetition reference
-loop.  ``benchmarks/bench_batched_engine.py`` runs the full fig-4-sized
-before/after comparison and records it in ``BENCH_batched_engine.json``.
+loop.
 """
 
 from __future__ import annotations
@@ -95,8 +94,7 @@ def test_bench_sampled_batch(benchmark):
 
 
 # Batched engine vs the per-repetition reference loop.  Reduced scale
-# (50 reps x 512 rounds) so the loop baseline stays benchmarkable; the
-# committed BENCH_batched_engine.json holds the full fig-4-sized cell.
+# (50 reps x 512 rounds) so the loop baseline stays benchmarkable.
 _CELL_SPEC = WorkloadSpec(size=10_000, seed=0)
 _CELL_CONFIG = PetConfig(passive_tags=True)
 _CELL_REPS = 50

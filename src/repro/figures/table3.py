@@ -11,7 +11,8 @@ slots per round is printed next to the nominal 5.
 protocol with a batched engine (FNEB, LoF, USE, UPE, EZB, ALOHA) over
 the same rounds grid, through
 :func:`repro.sim.protocol_batched.sweep_protocol_cells` — the workload
-``bench_guard --protocols`` prices.
+the ``sweep-paper`` end-to-end benchmark times (measured numbers in
+``benchmarks/e2e/README.md``).
 """
 
 from __future__ import annotations

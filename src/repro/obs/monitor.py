@@ -20,9 +20,6 @@ how big it is.  This module builds that layer:
 The detector is deliberately simple (EWMA + z-score) — the point is the
 protocol integration, and the false-positive rate is controlled by the
 same normal-tail arithmetic as the paper's Eq. 17.
-
-Historically this lived at :mod:`repro.monitor`; that module remains as
-a thin compatibility shim over this one.
 """
 
 from __future__ import annotations

@@ -20,14 +20,16 @@ Instrumented kernels resolve their profiler as::
         ...
 
 so the unattached path costs one shared no-op context manager per
-phase — the ``bench_guard --profile`` bound asserts this stays under
-5 % of the cell's runtime.  Each phase exit also feeds a
+phase.  Attaching a profiler never changes a cell's estimates, and a
+profiled cell reports every :data:`KERNEL_PHASES` entry
+(``tests/obs/test_profile.py::TestProfiledCell``).  Each phase exit
+also feeds a
 ``profile.<phase>.seconds`` histogram on the attached registry, which
 rides the ordinary export surface: OpenMetrics via ``--prom-out``,
 JSON lines via ``--metrics-out``, and cross-process aggregation via
 :meth:`~repro.obs.registry.MetricsRegistry.merge`.  The standalone
-JSON artifact (CLI ``--profile-out``, the committed
-``BENCH_obs_parallel.json``) comes from :meth:`PhaseProfiler.write_json`.
+JSON artifact (CLI ``--profile-out``) comes from
+:meth:`PhaseProfiler.write_json`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .registry import MetricsRegistry
 
 #: The canonical batched-kernel phases, in pipeline order.  Profilers
 #: accept any name, but these are the ones the engines emit and the
-#: guard asserts on.
+#: tests assert on.
 KERNEL_PHASES = (
     "seed_matrix",
     "hash_passes",
@@ -75,7 +77,7 @@ class PhaseProfiler:
         Sample net allocations per phase with :mod:`tracemalloc`.
         Allocation tracking is *much* more expensive than the wall-time
         sampling (tracemalloc hooks every allocation), so it is off by
-        default and not subject to the <5 % overhead bound.
+        default.
     """
 
     def __init__(

@@ -316,8 +316,9 @@ class BatchedRoundEngine(abc.ABC):
     equal the scalar statistic evaluated seed by seed, and
     :meth:`reduce` must be the protocol's scalar inversion applied to
     one repetition's statistic row — so batched cell estimates match the
-    per-repetition reference loop exactly (``bench_guard --protocols``
-    enforces this).
+    per-repetition reference loop exactly
+    (``tests/sim/test_protocol_batched.py::TestBitIdentity`` enforces
+    this for every engine protocol).
 
     Engines are stateless views over their protocol; obtain one from
     :meth:`CardinalityEstimatorProtocol.batched_engine` and drive it

@@ -124,8 +124,8 @@ class ServiceConfig:
     trace_requests:
         Whether each request gets a distributed trace (root
         :class:`~repro.obs.tracectx.TraceContext`, per-phase spans,
-        latency exemplars).  On by default — the overhead is a few
-        percent CPU (guarded by ``bench_guard --tracing``) — but can
+        latency exemplars).  On by default — its cost is inside the
+        serve-tier numbers in ``benchmarks/e2e/README.md`` — but can
         be switched off to serve with metrics only.
     cache:
         Kill switch for the cross-tick idempotent result cache

@@ -31,8 +31,9 @@ Design invariants:
 * **Bit-identity.**  A request answered by a shard passes through the
   same resolve → fuse → kernel pipeline as the single-process
   service; under the same seed the response is byte-identical
-  regardless of shard count or cache state (``bench_guard --serve``
-  asserts the full {1,2,4} × {cache on,off} matrix).
+  regardless of shard count or cache state
+  (``tests/serve/test_shard.py::TestBitIdentity`` asserts the full
+  {1,2,4} × {cache on,off} matrix).
 * **Zero-copy shared populations.**  Requests naming a synthesized
   population (``population_seed``) share one
   :class:`~repro.sim.shm.SharedArray` of tag IDs per ``(size, seed)``

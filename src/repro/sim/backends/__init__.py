@@ -22,8 +22,8 @@ The active backend is process-global: the hashing layer
 (:mod:`repro.hashing.family`, :mod:`repro.hashing.geometric`) routes
 every vectorized pass through it, so the batched engines in
 :mod:`repro.sim.batched` and :mod:`repro.sim.protocol_batched` pick it
-up without any plumbing.  ``bench_guard --backends`` enforces the
-per-backend bit-identity contract and speedup floors in CI; see
+up without any plumbing.  ``tests/sim/test_backends.py`` enforces the
+per-backend bit-identity contract over every installed backend; see
 ``docs/BACKENDS.md`` for how to add a backend.
 """
 

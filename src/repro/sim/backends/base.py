@@ -18,8 +18,8 @@ backend must reproduce.  Backends declare their exactness through
   on every available backend).
 * ``False`` — the backend is allowed a *documented* tolerance (for
   example a GPU backend whose reduction order differs); such a backend
-  must describe the tolerance in :attr:`tolerance` and the benchmark
-  guard compares estimates against that bound instead of exact
+  must describe the tolerance in :attr:`tolerance`, and its contract
+  tests compare estimates against that bound instead of exact
   equality.
 
 Both shipped backends (numpy, numba) are integer-exact end to end, so

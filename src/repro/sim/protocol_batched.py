@@ -19,8 +19,8 @@ array passes:
 
 The contract is **bit-identity** with the per-repetition reference loop
 (:meth:`ExperimentRunner.run_custom` driving the scalar ``estimate``),
-enforced by ``benchmarks/bench_guard.py --protocols`` and the
-equivalence tests.  Observability mirrors the scalar path: the same
+enforced by ``tests/sim/test_protocol_batched.py::TestBitIdentity``.
+Observability mirrors the scalar path: the same
 ``protocol.<NAME>.*`` counters and ``round_statistic`` histograms with
 exact slot accounting, all skipped without a single allocation on the
 null registry.

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+import pytest
+
+from repro.config import PetConfig
 from repro.obs.profile import (
     KERNEL_PHASES,
     NULL_PROFILER,
@@ -14,6 +18,8 @@ from repro.obs.profile import (
     write_phase_json,
 )
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.sim.batched import BatchedExperimentEngine
+from repro.sim.workload import WorkloadSpec
 
 
 class TestPhaseProfiler:
@@ -143,3 +149,27 @@ class TestRegistryPhaseReport:
         assert payload["k"] == "v"
         assert payload["phases"]["finalize"]["calls"] == 1
         assert payload["track_alloc"] is False
+
+
+class TestProfiledCell:
+    @pytest.mark.parametrize("passive", [True, False])
+    def test_profiled_cell_is_bit_identical_and_covers_every_phase(
+        self, passive
+    ):
+        spec = WorkloadSpec(size=500, seed=3)
+        config = PetConfig(passive_tags=passive)
+        plain = BatchedExperimentEngine(
+            base_seed=11, repetitions=4
+        ).run_cell(spec, config, rounds=32)
+        registry = MetricsRegistry()
+        registry.attach_diagnostics(
+            profiler=PhaseProfiler(registry=registry)
+        )
+        profiled = BatchedExperimentEngine(
+            base_seed=11, repetitions=4, registry=registry
+        ).run_cell(spec, config, rounds=32)
+        np.testing.assert_array_equal(
+            plain.estimates, profiled.estimates
+        )
+        report = registry_phase_report(registry)
+        assert set(KERNEL_PHASES) <= set(report)

@@ -16,6 +16,7 @@ from repro.core.search import (
 )
 from repro.errors import ConfigurationError
 from repro.obs import (
+    EstimatorHealth,
     MetricsRegistry,
     ReplayedRound,
     RoundTraceRecord,
@@ -300,6 +301,30 @@ class TestLiveRecording:
         np.testing.assert_array_equal(
             plain.estimates, traced.estimates
         )
+
+    def test_full_diagnostics_stack_never_perturbs_estimates(self):
+        spec = WorkloadSpec(size=2000, seed=5)
+        config = PetConfig(passive_tags=True)
+        plain = BatchedExperimentEngine(
+            base_seed=2011, repetitions=8
+        ).run_cell(spec, config, rounds=128)
+        registry = MetricsRegistry()
+        recorder = RoundTraceRecorder(
+            policy=SamplingPolicy(mode="outliers_only"),
+            registry=registry,
+        )
+        health = EstimatorHealth(registry=registry)
+        registry.attach_diagnostics(round_trace=recorder, health=health)
+        diagnosed = BatchedExperimentEngine(
+            base_seed=2011, repetitions=8, registry=registry
+        ).run_cell(spec, config, rounds=128)
+        np.testing.assert_array_equal(
+            plain.estimates, diagnosed.estimates
+        )
+        assert health.rounds_observed == 128 * 8
+        outliers = recorder.outlier_records()
+        assert outliers
+        assert all(verify_replay(record) for record in outliers)
 
 
 class TestTracePersistence:

@@ -117,18 +117,21 @@ class TestBitIdentity:
             ]
             assert sharded == baseline, f"shards={shards}"
 
-    def test_cache_off_matches_cache_on(self):
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_cache_off_matches_cache_on(self, shards):
         requests = _stream()
         with_cache = [
             _essence(response)
             for response in run_sharded(
-                requests, shards=2, config=ServiceConfig()
+                requests, shards=shards, config=ServiceConfig()
             )
         ]
         without_cache = [
             _essence(response)
             for response in run_sharded(
-                requests, shards=2, config=ServiceConfig(cache=False)
+                requests,
+                shards=shards,
+                config=ServiceConfig(cache=False),
             )
         ]
         assert with_cache == without_cache

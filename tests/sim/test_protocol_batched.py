@@ -146,6 +146,24 @@ class TestSweep:
             assert a.protocol == b.protocol
             assert a.estimates.tolist() == b.estimates.tolist()
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_shared_seed_matrix_matches_per_cell_derivation(
+        self, workers
+    ):
+        per_cell = sweep_protocol_cells(
+            self.SPECS, repetitions=5, base_seed=21
+        )
+        shared = sweep_protocol_cells(
+            self.SPECS,
+            repetitions=5,
+            base_seed=21,
+            workers=workers,
+            share_seeds=True,
+        )
+        for a, b in zip(per_cell, shared):
+            assert a.estimates.tolist() == b.estimates.tolist()
+            assert a.slots_per_run == b.slots_per_run
+
     def test_parallel_cells_are_recorded_in_parent_registry(self):
         registry = MetricsRegistry()
         sweep_protocol_cells(
@@ -209,8 +227,11 @@ class TestSweep:
 
 
 class TestObservability:
-    def test_counters_match_the_scalar_paths(self, population):
-        protocol = make_protocol("lof")
+    @pytest.mark.parametrize("name,config", ENGINE_CASES)
+    def test_counters_match_the_scalar_paths(
+        self, name, config, population
+    ):
+        protocol = make_protocol(name, **config)
         batched_registry = MetricsRegistry()
         cell = run_protocol_cell(
             protocol,
@@ -222,7 +243,7 @@ class TestObservability:
         )
 
         scalar_registry = MetricsRegistry()
-        instrumented = make_protocol("lof")
+        instrumented = make_protocol(name, **config)
         instrumented.instrument(scalar_registry)
         runner = ExperimentRunner(base_seed=31, repetitions=5)
         runner.run_custom(
@@ -233,14 +254,11 @@ class TestObservability:
 
         batched = batched_registry.snapshot()["counters"]
         scalar = scalar_registry.snapshot()["counters"]
-        for key in (
-            "protocol.LoF.runs",
-            "protocol.LoF.rounds",
-            "protocol.LoF.slots",
-        ):
+        prefix = f"protocol.{protocol.name}"
+        for key in (f"{prefix}.runs", f"{prefix}.rounds", f"{prefix}.slots"):
             assert batched[key] == scalar[key], key
         assert (
-            batched["protocol.LoF.slots"]
+            batched[f"{prefix}.slots"]
             == cell.slots_per_run * cell.repetitions
         )
 

@@ -104,19 +104,19 @@ class TestObsIntegration:
     """Satellite: the monitor is part of the obs surface now."""
 
     def test_shim_and_obs_expose_the_same_class(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            # The shim's DeprecationWarning is asserted in
-            # test_monitor_shim.py; here we only need its attributes.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.monitor as shim
         import repro.obs as obs
         import repro.obs.monitor as home
 
-        assert shim.CardinalityMonitor is home.CardinalityMonitor
         assert obs.CardinalityMonitor is home.CardinalityMonitor
-        assert shim.EpochReport is home.EpochReport
+
+    def test_canonical_homes_do_not_warn(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            import repro  # noqa: F401
+            import repro.obs.monitor  # noqa: F401
+            import repro.reader.session  # noqa: F401
 
     def test_drift_emits_event_and_counter(self):
         from repro.obs import MetricsRegistry
