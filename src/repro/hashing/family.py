@@ -104,7 +104,11 @@ class HashFamily(abc.ABC):
     def code_matrix(
         self, seeds: np.ndarray, keys: np.ndarray, bits: int
     ) -> np.ndarray:
-        """Vectorized :meth:`code` over every (seed, key) pair."""
+        """Vectorized :meth:`code` over every (seed, key) pair.
+
+        Returns a new array, so callers may reduce it in place (the
+        fresh-code gray-depth kernel XORs each round's path into it).
+        """
         _check_bits(bits)
         return self.digest_matrix(seeds, keys) >> np.uint64(64 - bits)
 

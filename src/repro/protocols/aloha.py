@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import AccuracyRequirement
 from ..core.accuracy import confidence_scale
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, EstimationError
 from ..hashing import uniform_slot_matrix, uniform_slots
 from ..tags.population import TagPopulation
 from .base import (
@@ -186,6 +186,26 @@ class AlohaEstimatorProtocol(CardinalityEstimatorProtocol):
         """The Schoute statistic estimates ``n`` directly."""
         return float(mean_statistic)
 
+    def estimate_from_statistics(self, statistics: np.ndarray) -> float:
+        """One run's estimate from its per-round ``S + 2.39 C`` readings.
+
+        Raises :class:`~repro.errors.EstimationError` when every frame
+        was all-collision (no idle and no singleton slot): the reading
+        is then pinned at its ceiling ``2.39 f`` whatever ``n`` is, just
+        as the zero estimators saturate when no slot is empty.  Every
+        other frame reads at most ``2.39 f - 1.39`` (one collision slot
+        traded for a singleton), so the per-round test below is exact
+        without comparing floats for equality.
+        """
+        ceiling = SCHOUTE_FACTOR * self.frame_size
+        if np.all(statistics > ceiling - 1.0):
+            raise EstimationError(
+                "every frame was all-collision: frame saturated; "
+                "increase the frame size (ALOHA needs a prior "
+                "magnitude of n)"
+            )
+        return self.estimate_from_mean(float(statistics.mean()))
+
     def estimate(
         self,
         population: TagPopulation,
@@ -200,7 +220,7 @@ class AlohaEstimatorProtocol(CardinalityEstimatorProtocol):
             statistics[round_index] = self.round_statistic(
                 seed, population
             )
-        n_hat = self.estimate_from_mean(float(statistics.mean()))
+        n_hat = self.estimate_from_statistics(statistics)
         return self._observe_result(
             ProtocolResult(
                 protocol=self.name,
@@ -234,7 +254,7 @@ class AlohaEstimatorProtocol(CardinalityEstimatorProtocol):
         statistics = (
             singletons + SCHOUTE_FACTOR * collisions
         ).astype(np.float64)
-        n_hat = self.estimate_from_mean(float(statistics.mean()))
+        n_hat = self.estimate_from_statistics(statistics)
         return self._observe_result(
             ProtocolResult(
                 protocol=self.name,
@@ -274,7 +294,7 @@ class AlohaBatchedEngine(BatchedRoundEngine):
         return singletons + SCHOUTE_FACTOR * collisions
 
     def reduce(self, statistics: np.ndarray) -> float:
-        return self.protocol.estimate_from_mean(float(statistics.mean()))
+        return self.protocol.estimate_from_statistics(statistics)
 
     def work_per_seed(self, population: TagPopulation) -> int:
         return max(1, population.size + self.protocol.frame_size)

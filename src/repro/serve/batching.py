@@ -54,19 +54,13 @@ from ..errors import ConfigurationError
 from ..protocols.base import ProtocolResult
 from ..protocols.pet import PetProtocol
 from ..sim.batched import (
+    CHUNK_ELEMENTS,
     batched_gray_depths_fresh,
     batched_gray_depths_sorted,
 )
 from ..sim.backends import active_backend
 from ..sim.protocol_batched import _chunked_statistics
 from ..tags.population import TagPopulation
-
-#: Chunk bound for the fused fresh-code kernel.  The experiment engine
-#: default (2^21 elements) optimises few huge cells; service groups are
-#: many medium ones, where cache-resident chunks keep the
-#: XOR/leading-zeros temporaries in L2 and run ~3x faster.  Chunking
-#: never changes results — depths are elementwise in the round axis.
-_SERVE_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -193,7 +187,6 @@ def _fused_pet_group(
             all_paths,
             height,
             population.family,
-            chunk_elements=_SERVE_CHUNK_ELEMENTS,
         )
     slots_table = slots_lookup_table(
         strategy_for(config.binary_search), height
@@ -315,7 +308,7 @@ def execute_micro_batch(
                 seconds=time.perf_counter() - started,
                 backend=backend_name,
                 protocol=group[0][1].protocol.name,
-                chunk_elements=_SERVE_CHUNK_ELEMENTS,
+                chunk_elements=CHUNK_ELEMENTS,
             )
         )
 

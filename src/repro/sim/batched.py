@@ -18,11 +18,14 @@ operations per repetition and no Python round loop at all:
   draw bit-for-bit, so the engine reproduces the reference loop exactly
   from the same ``SeedSequence`` children;
 * for fixed (passive) codes the population is sorted once and every
-  round's gray depth comes from a single batched ``searchsorted`` plus
-  an XOR/leading-zeros pass over the two neighbours;
+  round's gray depth comes from a single batched ``searchsorted``, an
+  XOR against the two neighbours, their elementwise min, and one
+  leading-zeros count per round;
 * for per-round fresh (active) codes the code matrix is produced by the
   hash family's broadcast :meth:`~repro.hashing.family.HashFamily.code_matrix`
-  and reduced with one leading-zeros ``max`` per chunk of rounds;
+  in cache-sized chunks of rounds, XORed with the paths in place, and
+  reduced with one row ``min`` — then one leading-zeros count per
+  round, not per element;
 * slot accounting is a table lookup
   (:func:`repro.core.search.slots_lookup_table`) plus a sum — no oracle
   replay per round.
@@ -53,9 +56,13 @@ from ..obs.registry import MetricsRegistry, get_registry
 from .experiment import RepeatedEstimate
 from .workload import WorkloadSpec, build_population
 
-#: Ceiling on the per-chunk (rounds x tags) code matrix for fresh-code
-#: rounds — keeps peak memory around 16 MB regardless of cell size.
-_FRESH_CHUNK_ELEMENTS = 1 << 21
+#: Array elements per chunk for every chunked kernel: the fresh-code
+#: (rounds x tags) matrix here, the serve tier's fused PET groups, and
+#: the protocol engines' statistics passes.  32K ``uint64`` elements is
+#: 256 KiB per temporary, so every pass over a chunk stays in L2.
+#: Chunking never changes results: every kernel is elementwise in the
+#: round axis.
+CHUNK_ELEMENTS = 1 << 15
 
 
 def batched_gray_depths_sorted(
@@ -65,8 +72,12 @@ def batched_gray_depths_sorted(
 
     The gray depth of path ``r`` is the longest common prefix between
     ``r`` and any code, which is achieved by ``r``'s immediate
-    neighbours in sorted code order — so the whole batch is one
-    ``searchsorted`` plus two vectorized XOR/leading-zeros passes.
+    neighbours in sorted code order.  Leading zeros fall as the XOR
+    grows, so the better neighbour is the one with the smaller XOR: the
+    whole batch is one ``searchsorted``, an elementwise min of the two
+    XORs, and one leading-zeros count per path.  Past either end of the
+    code array both index clamps land on the same code, so no edge
+    needs masking.
     """
     rounds = int(path_bits.shape[0])
     if sorted_codes.size == 0:
@@ -75,15 +86,8 @@ def batched_gray_depths_sorted(
     positions = np.searchsorted(sorted_codes, path_bits, side="left")
     left = sorted_codes[np.maximum(positions - 1, 0)]
     right = sorted_codes[np.minimum(positions, sorted_codes.size - 1)]
-    lcp_left = np.minimum(
-        height, leading_zeros64_vec((left ^ path_bits) << shift)
-    )
-    lcp_right = np.minimum(
-        height, leading_zeros64_vec((right ^ path_bits) << shift)
-    )
-    lcp_left[positions == 0] = 0
-    lcp_right[positions == sorted_codes.size] = 0
-    return np.maximum(lcp_left, lcp_right).astype(np.int64)
+    nearest = np.minimum(left ^ path_bits, right ^ path_bits)
+    return np.minimum(height, leading_zeros64_vec(nearest << shift))
 
 
 def batched_gray_depths_fresh(
@@ -92,29 +96,31 @@ def batched_gray_depths_fresh(
     path_bits: np.ndarray,
     height: int,
     family: HashFamily,
-    chunk_elements: int = _FRESH_CHUNK_ELEMENTS,
+    chunk_elements: int = CHUNK_ELEMENTS,
 ) -> np.ndarray:
     """Gray depths of many paths, each against its own fresh code set.
 
-    Active tags rehash per round, so the sort cannot be amortised;
-    instead the ``(rounds, tags)`` code matrix is produced chunk-wise by
-    the family's broadcast hash and reduced with one leading-zeros
-    ``max`` per chunk.
+    Active tags rehash per round, so the sort cannot be amortised.
+    Instead the ``(rounds, tags)`` code matrix is produced chunk-wise by
+    the family's broadcast hash and XORed with each round's path in
+    place.  Leading zeros are monotone non-increasing in the unsigned
+    value, so ``max_t clz(x_t) == clz(min_t x_t)``: a row ``min`` per
+    chunk picks each round's nearest code, and one leading-zeros pass
+    over those minima — one count per round — gives every depth.
     """
     rounds = int(seeds.shape[0])
     population_size = int(tag_ids.size)
     if population_size == 0:
         return np.zeros(rounds, dtype=np.int64)
-    shift = np.uint64(64 - height)
-    depths = np.empty(rounds, dtype=np.int64)
+    nearest = np.empty(rounds, dtype=np.uint64)
     chunk = max(1, chunk_elements // population_size)
     for start in range(0, rounds, chunk):
         stop = min(start + chunk, rounds)
         codes = family.code_matrix(seeds[start:stop], tag_ids, height)
-        aligned = (codes ^ path_bits[start:stop, None]) << shift
-        zeros = leading_zeros64_vec(aligned)
-        depths[start:stop] = np.minimum(height, zeros.max(axis=1))
-    return depths
+        codes ^= path_bits[start:stop, None]
+        codes.min(axis=1, out=nearest[start:stop])
+    nearest <<= np.uint64(64 - height)
+    return np.minimum(height, leading_zeros64_vec(nearest))
 
 
 class BatchedExperimentEngine:

@@ -44,14 +44,8 @@ from ..protocols.base import (
     CardinalityEstimatorProtocol,
 )
 from ..tags.population import TagPopulation
+from .batched import CHUNK_ELEMENTS
 from .workload import WorkloadSpec, build_population
-
-#: Target array elements per engine call; chunks keep the per-seed
-#: scratch (hash matrix + occupancy counts) inside the cache instead of
-#: materialising a whole cell's worth at once.  32K elements = 256 KiB
-#: per uint64 pass, which profiles ~2x faster than L3-sized chunks on
-#: the fig6/table3 cells (every mixing pass stays in L2).
-_CHUNK_ELEMENTS = 1 << 15
 
 
 def seed_matrix(
@@ -259,7 +253,7 @@ def _chunked_statistics(
 ) -> np.ndarray:
     """Evaluate the engine over all seeds in cache-sized chunks."""
     flat = seeds.ravel()
-    chunk = max(1, _CHUNK_ELEMENTS // engine.work_per_seed(population))
+    chunk = max(1, CHUNK_ELEMENTS // engine.work_per_seed(population))
     statistics = np.empty(flat.size)
     for offset in range(0, flat.size, chunk):
         block = flat[offset : offset + chunk]

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+import repro
+from repro.api import EstimateRequest
+from repro.errors import ConfigurationError, EstimationError
 from repro.config import AccuracyRequirement
+from repro.obs import MetricsRegistry
 from repro.protocols.aloha import (
+    SCHOUTE_FACTOR,
     AlohaEstimatorProtocol,
     FramedAlohaIdentification,
 )
 from repro.protocols.registry import make_protocol
+from repro.serve import EstimationService
+from repro.sim.protocol_batched import run_protocol_cell
+from repro.sim.workload import WorkloadSpec, build_population
 from repro.tags.population import TagPopulation
 
 
@@ -123,3 +132,96 @@ class TestEstimator:
             for seed in seeds
         ]
         assert batched.tolist() == scalar
+
+
+class TestSaturation:
+    """At n = 10^5 a 1024-slot frame is all-collision every round."""
+
+    SATURATED_N = 100_000
+
+    @pytest.fixture(scope="class")
+    def saturated_population(self):
+        return build_population(
+            WorkloadSpec(size=self.SATURATED_N, seed=31)
+        )
+
+    def test_scalar_estimate_raises(self, saturated_population):
+        with pytest.raises(EstimationError, match="all-collision"):
+            AlohaEstimatorProtocol().estimate(
+                saturated_population, 3, np.random.default_rng(32)
+            )
+
+    def test_sampled_estimate_raises(self):
+        with pytest.raises(EstimationError, match="all-collision"):
+            AlohaEstimatorProtocol().estimate_sampled(
+                self.SATURATED_N, 3, np.random.default_rng(33)
+            )
+
+    def test_facade_with_accuracy_raises(self):
+        with pytest.raises(EstimationError):
+            repro.estimate(
+                self.SATURATED_N,
+                "aloha",
+                seed=34,
+                accuracy=AccuracyRequirement(0.1, 0.05),
+            )
+
+    def test_cell_flags_every_repetition(self, saturated_population):
+        protocol = AlohaEstimatorProtocol()
+        cell = run_protocol_cell(
+            protocol,
+            saturated_population,
+            rounds=2,
+            repetitions=3,
+            base_seed=35,
+            on_error="nan",
+        )
+        assert np.isnan(cell.estimates).all()
+        assert cell.saturated_runs == cell.repetitions == 3
+        with pytest.raises(EstimationError):
+            run_protocol_cell(
+                protocol,
+                saturated_population,
+                rounds=2,
+                repetitions=3,
+                base_seed=35,
+            )
+
+    def test_served_request_is_an_error_and_never_cached(self):
+        request = EstimateRequest(
+            population=self.SATURATED_N,
+            protocol="aloha",
+            seed=36,
+            rounds=2,
+            population_seed=31,
+        )
+
+        async def main():
+            registry = MetricsRegistry()
+            service = EstimationService(registry=registry)
+            async with service:
+                first = await service.submit(request)
+                second = await service.submit(request)
+            return registry, service, first, second
+
+        registry, service, first, second = asyncio.run(main())
+        assert first.status == second.status == "error"
+        assert "all-collision" in first.detail
+        assert len(service.cache) == 0
+        counters = registry.snapshot().counters
+        assert "serve.cache.hits" not in counters
+        assert counters["serve.requests.submitted"] == 2
+
+    def test_one_readable_frame_keeps_the_estimate(self):
+        # Only a run with *every* frame all-collision saturates; the
+        # best non-saturated frame (one singleton, f - 1 collisions)
+        # reads 1.39 below the ceiling and counts as readable.
+        protocol = AlohaEstimatorProtocol(frame_size=64)
+        ceiling = SCHOUTE_FACTOR * 64
+        best_readable = 1 + SCHOUTE_FACTOR * 63
+        statistics = np.array([ceiling, best_readable, ceiling])
+        assert protocol.estimate_from_statistics(
+            statistics
+        ) == pytest.approx(statistics.mean())
+        with pytest.raises(EstimationError):
+            protocol.estimate_from_statistics(np.full(4, ceiling))

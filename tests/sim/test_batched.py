@@ -53,7 +53,7 @@ class TestBatchedGrayDepthsSorted:
 
     def test_boundary_paths(self):
         # Paths below the smallest and above the largest code exercise
-        # the edge masking of the missing neighbour.
+        # the index clamps that stand in for the missing neighbour.
         codes = np.sort(
             np.array([100, 200, 60_000], dtype=np.uint64)
         )
