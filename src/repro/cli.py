@@ -43,7 +43,7 @@ The diagnostics flags build on the same registry:
   format for Prometheus scrapes / textfile collectors;
 * ``--progress`` renders a live stderr status line for sweep
   experiments (``fig4``, ``protocols``) with per-cell throughput and
-  ETA — parallel sweeps stream worker heartbeats back to the parent;
+  ETA — parallel sweeps tick it as each worker's cell finishes;
 * ``--profile-out PATH`` attaches the batched-kernel phase profiler
   (seed_matrix / hash_passes / reduction / finalize) and writes the
   per-phase wall-time report to PATH as JSON.
@@ -252,8 +252,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "render a live stderr status line (throughput, ETA) for "
-            "sweep experiments; parallel sweeps stream worker "
-            "heartbeats back to the parent"
+            "sweep experiments; parallel sweeps tick it as each "
+            "worker's cell finishes"
         ),
     )
     parser.add_argument(

@@ -30,9 +30,9 @@ Cross-process telemetry (parallel sweeps) builds on three pieces:
 * :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge` —
   picklable :class:`RegistrySnapshot` objects that merge associatively,
   so worker registries fold into the parent losslessly;
-* :class:`ProgressTracker` / :class:`ProgressReporter`
-  (:mod:`repro.obs.progress`) — worker heartbeats, live status line,
-  ETA, and the ``sweep.progress.*`` gauges;
+* :class:`ProgressTracker` (:mod:`repro.obs.progress`) — live status
+  line, ETA, and the ``sweep.progress.*`` gauges, ticked in the parent
+  as each worker's cell future completes;
 * :class:`PhaseProfiler` (:mod:`repro.obs.profile`) — named wall-time
   sampling around the batched-kernel phases.
 
@@ -47,7 +47,6 @@ from .export import (
     InMemoryExporter,
     JsonLinesExporter,
     decode_value,
-    heartbeat_record,
     iter_records,
     snapshot_record,
     write_span_trace,
@@ -69,12 +68,7 @@ from .profile import (
     PhaseProfiler,
     active_profiler,
 )
-from .progress import (
-    Heartbeat,
-    ProgressReporter,
-    ProgressTracker,
-    default_worker_id,
-)
+from .progress import ProgressTracker, default_worker_id
 from .prom import (
     PrometheusExporter,
     histogram_buckets,
@@ -162,10 +156,7 @@ __all__ = [
     "iter_records",
     "decode_value",
     "snapshot_record",
-    "heartbeat_record",
     # cross-process progress + profiling
-    "Heartbeat",
-    "ProgressReporter",
     "ProgressTracker",
     "default_worker_id",
     "KERNEL_PHASES",

@@ -6,7 +6,7 @@ Three built-ins, each a single ``export(registry)`` call:
   the natural choice for tests and programmatic post-processing.
 * :class:`JsonLinesExporter` — one JSON object per line, ``kind``-tagged
   (``counter`` / ``gauge`` / ``histogram`` / ``span`` / ``event``, plus
-  ``snapshot`` / ``heartbeat`` for the cross-process records), appended
+  ``snapshot`` for cross-process worker records), appended
   to a file or file-like object.  This is what the CLI's
   ``--metrics-out PATH`` writes.
 * :class:`ConsoleSummaryExporter` — a compact human table of counters,
@@ -98,28 +98,6 @@ def snapshot_record(
     }
 
 
-def heartbeat_record(
-    heartbeat: object, ts: float | None = None
-) -> dict[str, object]:
-    """One ``kind="heartbeat"`` record for a worker progress beat.
-
-    Accepts a :class:`repro.obs.progress.Heartbeat` (any dataclass with
-    its fields works); the record's ``ts`` is the beat's own emission
-    time when it carries one.
-    """
-    payload = asdict(heartbeat)  # type: ignore[call-overload]
-    beat_ts = payload.get("ts") or None
-    if ts is None:
-        ts = beat_ts if beat_ts else time.time()
-    return {
-        "kind": "heartbeat",
-        "type": "heartbeat",
-        "name": payload.get("worker_id", ""),
-        "ts": ts,
-        **payload,
-    }
-
-
 def write_span_trace(
     destination: str | IO[str], registry: MetricsRegistry
 ) -> int:
@@ -164,12 +142,6 @@ class InMemoryExporter:
         """Collect one worker snapshot as a ``snapshot`` record."""
         self.records.append(snapshot_record(snapshot))
 
-    def export_heartbeats(self, heartbeats: Iterable[object]) -> None:
-        """Collect progress beats as ``heartbeat`` records."""
-        self.records.extend(
-            heartbeat_record(beat) for beat in heartbeats
-        )
-
     def of_kind(self, kind: str) -> list[dict[str, object]]:
         """The collected records of one ``kind``, in export order."""
         return [r for r in self.records if r["kind"] == kind]
@@ -213,14 +185,6 @@ class JsonLinesExporter:
     def export_snapshot(self, snapshot: RegistrySnapshot) -> None:
         """Append one worker snapshot as a ``snapshot`` record."""
         _write_lines(self._sink(), [snapshot_record(snapshot)])
-        self.flush()
-
-    def export_heartbeats(self, heartbeats: Iterable[object]) -> None:
-        """Append progress beats as ``heartbeat`` records."""
-        _write_lines(
-            self._sink(),
-            (heartbeat_record(beat) for beat in heartbeats),
-        )
         self.flush()
 
     def flush(self) -> None:

@@ -1,157 +1,37 @@
-"""Live sweep progress: worker heartbeats, ETA, and a status line.
+"""Live sweep progress: ETA, throughput, and a status line.
 
 Large sweeps (Fig. 4's 24 cells x 300 repetitions, the table-3
-comparison grid) fan out over worker processes and can run for minutes
-with no output at all.  This module adds the missing feedback loop:
-
-* :class:`Heartbeat` — one picklable progress record (cells done, slots
-  simulated, rounds run, the population size currently being worked
-  on), emitted by workers at cell boundaries;
-* :class:`ProgressReporter` — the worker-side handle: wraps a
-  ``multiprocessing`` queue proxy (picklable, so it travels through a
-  ``ProcessPoolExecutor`` submit) and rate-limits its own emissions;
-* :class:`ProgressTracker` — the parent-side aggregator: consumes
-  heartbeats (or direct :meth:`ProgressTracker.cell_done` calls on the
-  serial path), renders a throttled single-line terminal status with
-  per-cell throughput and ETA, and mirrors the state into
-  ``sweep.progress.*`` gauges so exporters and Prometheus scrapes see
-  the same numbers.
+comparison grid) can run for minutes with no output at all.
+:class:`ProgressTracker` is the missing feedback loop: the sweep ticks
+it with :meth:`ProgressTracker.cell_done` as each cell finishes — in
+the serial loop, or in the parent as each worker's future completes
+(a finished cell's future is its heartbeat) — and it renders a
+throttled single-line terminal status with per-cell throughput and
+ETA, mirrored into ``sweep.progress.*`` gauges so exporters and
+Prometheus scrapes see the same numbers.
 
 Progress is *display-only* state: nothing here touches seeds or
-results, heartbeats never enter the registry event log, and the
-``sweep.progress.*`` gauges are excluded from the serial-vs-parallel
-parity contract (see :func:`repro.obs.registry.parity_view`).
+results, and the ``sweep.progress.*`` gauges are excluded from the
+serial-vs-parallel parity contract (see
+:func:`repro.obs.registry.parity_view`).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from typing import IO, Callable
 
 from .registry import MetricsRegistry, get_registry
 
-#: Minimum seconds between two terminal renders (and two worker
-#: emissions): keeps a thousand-cell sweep from melting the terminal or
-#: the queue.
+#: Minimum seconds between two terminal renders: keeps a
+#: thousand-cell sweep from melting the terminal.
 DEFAULT_THROTTLE_SECONDS = 0.25
-
-#: Heartbeats retained on the tracker for export/tests; older ones are
-#: dropped (the aggregate counts are kept regardless).
-MAX_HEARTBEATS = 10_000
 
 
 def default_worker_id() -> str:
     """The conventional worker identity tag: ``pid:<os.getpid()>``."""
     return f"pid:{os.getpid()}"
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """One progress record from one worker.
-
-    Attributes
-    ----------
-    worker_id:
-        Identity of the emitting process (``pid:<pid>``).
-    phase:
-        ``"start"`` (cell picked up) or ``"done"`` (cell finished).
-    cells_done:
-        Cells *finished* by this emission (0 for a start beat, 1 for a
-        done beat) — the tracker sums these, so the field is a delta,
-        not a running total.
-    slots:
-        Slots simulated by the finished cell (0 for a start beat).
-    rounds:
-        Estimation rounds run by the finished cell.
-    n:
-        Population size of the cell being worked on, or ``None``.
-    ts:
-        ``time.time()`` at emission.
-    """
-
-    worker_id: str
-    phase: str = "done"
-    cells_done: int = 0
-    slots: int = 0
-    rounds: int = 0
-    n: int | None = None
-    ts: float = 0.0
-
-
-class ProgressReporter:
-    """Worker-side heartbeat emitter around a queue (proxy).
-
-    The queue only needs ``put``; a ``multiprocessing.Manager().Queue()``
-    proxy (what the sweeps use — plain ``multiprocessing.Queue`` objects
-    do not survive a ``ProcessPoolExecutor`` submit) and a plain
-    ``queue.Queue`` (tests, in-process use) both qualify.  Emissions
-    with ``force=False`` are rate-limited to one per
-    ``min_interval`` seconds; cell boundaries emit with ``force=True``.
-    """
-
-    def __init__(
-        self,
-        queue: object,
-        worker_id: str | None = None,
-        min_interval: float = DEFAULT_THROTTLE_SECONDS,
-    ):
-        self._queue = queue
-        self._worker_id = worker_id
-        self.min_interval = min_interval
-        self._last_emit = 0.0
-
-    @property
-    def worker_id(self) -> str:
-        # Resolved lazily so a reporter built in the parent and pickled
-        # into a worker reports the *worker's* pid, not the parent's.
-        return self._worker_id or default_worker_id()
-
-    def emit(
-        self,
-        phase: str = "done",
-        cells_done: int = 0,
-        slots: int = 0,
-        rounds: int = 0,
-        n: int | None = None,
-        force: bool = False,
-    ) -> bool:
-        """Queue one heartbeat; returns whether it was sent.
-
-        Unforced emissions inside the throttle window are dropped (the
-        caller keeps its own running totals, so nothing is lost — the
-        next beat carries the news).
-        """
-        now = time.time()
-        if not force and now - self._last_emit < self.min_interval:
-            return False
-        self._last_emit = now
-        self._queue.put(  # type: ignore[attr-defined]
-            Heartbeat(
-                worker_id=self.worker_id,
-                phase=phase,
-                cells_done=cells_done,
-                slots=slots,
-                rounds=rounds,
-                n=n,
-                ts=now,
-            )
-        )
-        return True
-
-    def __getstate__(self) -> dict[str, object]:
-        # _last_emit is per-process throttle state; worker_id must be
-        # re-resolved on the far side when it was not given explicitly.
-        return {
-            "_queue": self._queue,
-            "_worker_id": self._worker_id,
-            "min_interval": self.min_interval,
-            "_last_emit": 0.0,
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
 
 
 class ProgressTracker:
@@ -196,7 +76,6 @@ class ProgressTracker:
         self.slots_done = 0
         self.rounds_done = 0
         self.current_n: int | None = None
-        self.heartbeats: list[Heartbeat] = []
 
     # -- aggregate properties --------------------------------------------
 
@@ -230,54 +109,20 @@ class ProgressTracker:
 
     # -- feeding the tracker ---------------------------------------------
 
-    def observe(self, heartbeat: Heartbeat) -> None:
-        """Fold one worker heartbeat into the aggregates and render."""
-        if len(self.heartbeats) < MAX_HEARTBEATS:
-            self.heartbeats.append(heartbeat)
-        self.cells_done += heartbeat.cells_done
-        self.slots_done += heartbeat.slots
-        self.rounds_done += heartbeat.rounds
-        if heartbeat.n is not None:
-            self.current_n = heartbeat.n
-        self._update_gauges()
-        self.render()
-
     def cell_done(
         self,
         n: int | None = None,
         slots: int = 0,
         rounds: int = 0,
     ) -> None:
-        """Serial-path shortcut: one cell finished in this process."""
-        self.observe(
-            Heartbeat(
-                worker_id=default_worker_id(),
-                phase="done",
-                cells_done=1,
-                slots=slots,
-                rounds=rounds,
-                n=n,
-                ts=time.time(),
-            )
-        )
-
-    def drain(self, queue: object) -> int:
-        """Consume every heartbeat currently waiting on ``queue``.
-
-        Non-blocking; returns how many were consumed.  Accepts anything
-        with ``get_nowait`` raising ``queue.Empty`` when dry (both
-        ``queue.Queue`` and manager proxies do).
-        """
-        import queue as queue_module
-
-        consumed = 0
-        while True:
-            try:
-                heartbeat = queue.get_nowait()  # type: ignore[attr-defined]
-            except queue_module.Empty:
-                return consumed
-            self.observe(heartbeat)
-            consumed += 1
+        """Count one finished cell and render."""
+        self.cells_done += 1
+        self.slots_done += slots
+        self.rounds_done += rounds
+        if n is not None:
+            self.current_n = n
+        self._update_gauges()
+        self.render()
 
     # -- output ----------------------------------------------------------
 

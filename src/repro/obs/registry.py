@@ -154,9 +154,11 @@ class DeltaSnapshotter:
         snapshot = RegistrySnapshot(worker_id=self.worker_id)
         changed = False
         for name, metric in registry._counters.items():
-            previous = self._counters.get(name, 0.0)
-            if metric.value != previous:
-                snapshot.counters[name] = metric.value - previous
+            # A metric's first delta ships even at zero, as a full
+            # snapshot would, so a one-delta stream merges identically.
+            previous = self._counters.get(name)
+            if previous is None or metric.value != previous:
+                snapshot.counters[name] = metric.value - (previous or 0.0)
                 self._counters[name] = metric.value
                 changed = True
         for name, metric in registry._gauges.items():
@@ -170,14 +172,14 @@ class DeltaSnapshotter:
             previous = self._histograms.get(name)
             if previous is None:
                 previous = (0, 0.0, 0.0, [0] * len(metric.buckets))
-            count = metric.count - previous[0]
-            if count == 0:
+            elif metric.count == previous[0]:
                 continue
+            count = metric.count - previous[0]
             total = metric.total - previous[1]
             sum_squares = metric.sum_squares - previous[2]
             snapshot.histograms[name] = {
                 "count": count,
-                "mean": total / count,
+                "mean": total / count if count else 0.0,
                 "std": 0.0,
                 "min": metric.min,
                 "max": metric.max,

@@ -139,8 +139,9 @@ class ServiceConfig:
         worker streams a heartbeat plus a registry *delta* snapshot to
         the router every this many seconds, so the router's merged
         registry (and the live ``/metrics`` endpoint) tracks worker
-        state mid-run.  ``None`` / ``0`` keeps the PR-9 behaviour:
-        telemetry merges home only at shutdown.
+        state mid-run, and the fleet watchdog runs.  ``None`` / ``0``
+        is stop-time-only: each worker ships one final delta at
+        shutdown, and the watchdog is off.
     heartbeat_misses:
         Heartbeat intervals a worker may miss before the fleet
         watchdog marks it stalled and ``/healthz`` degrades.

@@ -41,30 +41,29 @@ Design invariants:
   the first request routed to each shard, and the worker attaches and
   wraps it via :meth:`~repro.tags.population.TagPopulation.from_sorted_ids`
   without copying or re-deriving IDs.
-* **Telemetry merges home — live, not just at shutdown.**  Each
-  worker runs its own :class:`~repro.obs.registry.MetricsRegistry`.
-  With ``ServiceConfig.snapshot_interval_seconds`` set, every worker
-  streams a heartbeat plus a registry **delta**
+* **Telemetry merges home as deltas only.**  Each worker runs its own
+  :class:`~repro.obs.registry.MetricsRegistry` and ships it home as a
+  stream of registry **deltas**
   (:class:`~repro.obs.registry.DeltaSnapshotter`: counter increments,
-  histogram stat increments, changed gauges, new spans/events — a
-  quiet interval ships bytes, not history) over the existing pipe
-  protocol, and the router merges each delta into its registry the
-  moment it arrives.  The live ``/metrics`` endpoint therefore serves
-  *merged mid-run state* — worker counters, fixed-grid histograms,
-  and fleet SLO burn rates re-derived from the additive window totals
-  via :func:`~repro.obs.slo.merge_slo_gauges` — instead of the PR-9
-  stop-time-only view.  The final shutdown message is itself a delta,
-  so the stop-time merge is idempotent against everything already
-  applied: nothing is ever double-counted.  Without an interval, one
-  full snapshot per shard merges at ``stop()`` exactly as before.
-  Traces cross the hop either way: the router opens a ``serve.route``
-  span and ships its context inside the request, so the worker's
-  ``serve.request`` span (and the ``kernel`` spans beneath it, each
-  tagged ``shard``) nest under it in one ``/traces/<id>`` waterfall.
-* **Shard health watchdog.**  :class:`FleetStatus` rides the
-  heartbeat stream: per-shard liveness/lag gauges
-  (``serve.shard.<i>.heartbeat_age_seconds`` / ``.queue_depth`` /
-  ``.inflight``), an EWMA stall detector
+  histogram stat increments, changed gauges, new spans/events).  With
+  ``ServiceConfig.snapshot_interval_seconds`` set, a heartbeat delta
+  goes out every interval; either way the last message is a final
+  delta at shutdown, so a stop-time-only run is a delta stream of
+  length one.  The router merges each delta the moment it arrives and
+  :class:`FleetStatus` re-publishes the per-shard attribution gauges
+  and the fleet SLO burn rates (re-derived from the additive window
+  totals via :func:`~repro.obs.slo.merge_slo_gauges`) through one
+  code path in both modes, so the live ``/metrics`` endpoint serves
+  merged mid-run state.  Deltas never repeat what an earlier one
+  shipped, so nothing is double-counted.  Traces cross the hop too:
+  the router opens a ``serve.route`` span and ships its context
+  inside the request, so the worker's ``serve.request`` span (and the
+  ``kernel`` spans beneath it, each tagged ``shard``) nest under it in
+  one ``/traces/<id>`` waterfall.
+* **Shard health watchdog** (only with an interval set).
+  :class:`FleetStatus` also rides the heartbeat stream: per-shard
+  liveness/lag gauges (``serve.shard.<i>.heartbeat_age_seconds`` /
+  ``.queue_depth`` / ``.inflight``), an EWMA stall detector
   (:class:`~repro.obs.monitor.HeartbeatMonitor` — ``fleet.stall``
   events + ``fleet.stall.alerts``), and a ``/healthz`` verdict that
   degrades to ``"degraded"`` / ``"unhealthy"`` with a per-shard
@@ -90,6 +89,10 @@ Router-side metric names:
 ``serve.shard.<i>.burn_rate_fast``          gauge: shard burn rate
 ``fleet.stall.alerts``                      counter: watchdog alerts
 ==========================================  ==========================
+
+The ``heartbeat_age_seconds``, ``queue_depth`` and ``inflight`` gauges
+and ``fleet.stall.alerts`` belong to the watchdog and need an
+interval; every other row is published in both modes.
 
 Router SLO note: rejections the router answers itself appear in the
 merged ``serve.requests.rejected`` counter, while the ``serve.slo.*``
@@ -214,13 +217,12 @@ def _shard_worker(
     * in: ``(ticket, request, ingress, population_payload)`` or the
       ``None`` stop sentinel;
     * out: ``("response", index, ticket, response)`` per request;
-      with ``snapshot_interval_seconds`` set, periodic
-      ``("telemetry", index, payload)`` heartbeats whose payload
-      carries a registry *delta* plus live queue depth/in-flight, a
-      final such delta at shutdown, then ``("done", index)``; without
-      an interval, one ``("snapshot", index, registry_snapshot)``
-      (telemetry runs only) before ``("done", index)``; or
-      ``("fatal", index, traceback)`` if the shard dies.
+      when ``collect_telemetry`` is set, ``("telemetry", index,
+      payload)`` messages whose payload carries a registry *delta*
+      plus live queue depth/in-flight — one per
+      ``snapshot_interval_seconds`` when an interval is set, and
+      always a ``final`` one at shutdown — then ``("done", index)``;
+      or ``("fatal", index, traceback)`` if the shard dies.
     """
     try:
         registry = (
@@ -231,14 +233,14 @@ def _shard_worker(
             registry=registry,
             shard_label=f"shard-{index}",
         )
-        interval = (
-            config.snapshot_interval_seconds
+        snapshotter = (
+            DeltaSnapshotter(registry, worker_id=f"shard-{index}")
             if collect_telemetry
             else None
         )
-        snapshotter = (
-            DeltaSnapshotter(registry, worker_id=f"shard-{index}")
-            if interval
+        interval = (
+            config.snapshot_interval_seconds
+            if snapshotter is not None
             else None
         )
         # SharedArray handles must outlive every request using them.
@@ -302,7 +304,7 @@ def _shard_worker(
                     responses_queue.put(_telemetry_message())
 
             async with service:
-                if snapshotter is not None:
+                if interval:
                     heartbeat_task = loop.create_task(_heartbeat())
                 try:
                     while True:
@@ -348,18 +350,10 @@ def _shard_worker(
         asyncio.run(_main())
         for shared in attached.values():
             shared.close()
-        if registry:
-            if snapshotter is not None:
-                # The shutdown flush is a delta too, so the router's
-                # stop-time merge is idempotent against everything the
-                # heartbeats already shipped.
-                responses_queue.put(_telemetry_message(final=True))
-            else:
-                responses_queue.put(
-                    ("snapshot", index, registry.snapshot(
-                        worker_id=f"shard-{index}"
-                    ))
-                )
+        if snapshotter is not None:
+            # The shutdown flush is a delta too: it carries only what
+            # the heartbeats (if any) have not already shipped.
+            responses_queue.put(_telemetry_message(final=True))
         responses_queue.put(("done", index))
     except BaseException:
         responses_queue.put(
@@ -386,21 +380,24 @@ _LATENCY_HISTOGRAM = "serve.request.latency_seconds"
 
 
 class FleetStatus:
-    """Live fleet state folded from the worker heartbeat stream.
+    """Fleet state folded from the worker telemetry stream.
 
-    The router feeds it two things per heartbeat:
+    The router feeds it two things per telemetry message:
     :meth:`record_heartbeat` (arrival time, queue depth, in-flight)
     and :meth:`record_delta` (the registry delta that rode along).
     From those it maintains, per shard, cumulative counters, the
     latest gauge values (including the additive SLO window totals),
     and a folded latency histogram — enough to re-derive every
     ``serve.shard.<i>.*`` gauge and the fleet-wide ``serve.slo.*``
-    burn rates *mid-run* via :meth:`refresh`, and to answer
-    ``/healthz`` with a per-shard verdict via :meth:`health`.
+    burn rates via :meth:`refresh`, mid-run or at stop.
 
-    Stall detection delegates to
-    :class:`~repro.obs.monitor.HeartbeatMonitor`; process death is
-    checked through the ``alive`` callable the router provides.  All
+    With an ``interval`` the watchdog runs too: stall detection
+    delegates to :class:`~repro.obs.monitor.HeartbeatMonitor`, process
+    death is checked through the ``alive`` callable the router
+    provides, and :meth:`health` answers ``/healthz`` with a per-shard
+    verdict.  Without one (``None``/``0``, stop-time-only telemetry)
+    ``monitor`` is ``None``, the liveness gauges are not published and
+    :meth:`health` reports ``ok`` with an empty shard map.  All
     methods take one internal lock: recorders run on the collector
     thread while :meth:`refresh`/:meth:`health` run on HTTP scrape
     threads.
@@ -409,7 +406,7 @@ class FleetStatus:
     def __init__(
         self,
         shards: int,
-        interval: float,
+        interval: float | None,
         misses: int = 2,
         registry: MetricsRegistry | None = None,
         alive=None,
@@ -430,8 +427,10 @@ class FleetStatus:
         self._counters: dict[int, dict[str, float]] = {}
         self._gauges: dict[int, dict[str, float]] = {}
         self._latency: dict[int, Histogram] = {}
-        self.monitor = HeartbeatMonitor(
-            interval, misses=misses, registry=registry
+        self.monitor = (
+            HeartbeatMonitor(interval, misses=misses, registry=registry)
+            if interval
+            else None
         )
 
     # -- feeding (collector thread) -----------------------------------
@@ -445,7 +444,7 @@ class FleetStatus:
             self._last_beat[shard] = ts
             self._queue_depth[shard] = queue_depth
             self._inflight[shard] = inflight
-        if previous is not None:
+        if previous is not None and self.monitor is not None:
             self.monitor.beat(shard, ts - previous)
 
     def record_delta(self, shard: int, delta) -> None:
@@ -490,24 +489,26 @@ class FleetStatus:
     def refresh(self, registry) -> None:
         """Re-publish every fleet gauge from current folded state.
 
-        Called by the collector after each applied delta and by the
-        ``/metrics`` handler right before rendering, so scrapes always
-        see heartbeat ages measured *now*, not at the last arrival.
+        Called by the collector after each applied delta, at stop, and
+        by the ``/metrics`` handler right before rendering, so scrapes
+        always see heartbeat ages measured *now*, not at the last
+        arrival.  The liveness gauges need the watchdog.
         """
         with self._lock:
             now = self._now()
             slo_snapshots = []
             for shard in range(self.shards):
                 prefix = f"serve.shard.{shard}"
-                registry.gauge(
-                    f"{prefix}.heartbeat_age_seconds"
-                ).set(self._age(shard, now))
-                registry.gauge(f"{prefix}.queue_depth").set(
-                    self._queue_depth.get(shard, 0)
-                )
-                registry.gauge(f"{prefix}.inflight").set(
-                    self._inflight.get(shard, 0)
-                )
+                if self.monitor is not None:
+                    registry.gauge(
+                        f"{prefix}.heartbeat_age_seconds"
+                    ).set(self._age(shard, now))
+                    registry.gauge(f"{prefix}.queue_depth").set(
+                        self._queue_depth.get(shard, 0)
+                    )
+                    registry.gauge(f"{prefix}.inflight").set(
+                        self._inflight.get(shard, 0)
+                    )
                 counters = self._counters.get(shard, {})
                 answered = sum(
                     counters.get(f"serve.requests.{status}", 0.0)
@@ -542,8 +543,11 @@ class FleetStatus:
         ``"ok"`` otherwise.  Overall: every shard ok → ``"ok"``, none
         ok → ``"unhealthy"``, anything between → ``"degraded"``.
         After :meth:`mark_stopped` the run is complete and everything
-        reports ok with frozen ages.
+        reports ok with frozen ages.  Without the watchdog the shard
+        map is empty.
         """
+        if self.monitor is None:
+            return {"status": "ok", "shards": {}}
         with self._lock:
             now = self._now()
             stopped = self._stopped is not None
@@ -624,13 +628,12 @@ class ShardedService:
         self._inflight_by_tenant: dict[str, int] = {}
         self._next_ticket = 0
         self._accepting = False
-        self._snapshots: list = []
         self._fatal: list[str] = []
         self._shared_populations: dict[tuple, SharedArray] = {}
         self._published: set[tuple] = set()
-        #: Live fleet state; set by :meth:`start` when snapshot
-        #: streaming is on (telemetry collected and
-        #: ``snapshot_interval_seconds`` configured).
+        #: Folded fleet telemetry; set by :meth:`start` when the
+        #: registry collects.  Its watchdog runs only when
+        #: ``snapshot_interval_seconds`` is configured.
         self.fleet: FleetStatus | None = None
 
     # -- lifecycle ----------------------------------------------------
@@ -648,7 +651,7 @@ class ShardedService:
         from multiprocessing import resource_tracker
 
         resource_tracker.ensure_running()
-        if collect and self.config.snapshot_interval_seconds:
+        if collect:
             self.fleet = FleetStatus(
                 shards=self.shards,
                 interval=self.config.snapshot_interval_seconds,
@@ -686,7 +689,7 @@ class ShardedService:
         return self
 
     def stop(self) -> None:
-        """Drain every shard, merge telemetry home, release memory."""
+        """Drain every shard, publish final telemetry, release memory."""
         if not self._processes:
             raise ServiceError("sharded service was never started")
         self._accepting = False
@@ -701,33 +704,11 @@ class ShardedService:
         self._request_queues.clear()
         self._response_queues.clear()
         registry = self._registry
-        if registry:
-            for snapshot in self._snapshots:
-                registry.merge(snapshot)
-                index = self._snapshot_index(snapshot)
-                answered = sum(
-                    snapshot.counters.get(
-                        f"serve.requests.{status}", 0.0
-                    )
-                    for status in RESPONSE_STATUSES
-                )
-                registry.gauge(
-                    f"serve.shard.{index}.requests"
-                ).set(answered)
-                registry.gauge(
-                    f"serve.shard.{index}.cache_hits"
-                ).set(
-                    snapshot.counters.get("serve.cache.hits", 0.0)
-                )
-            if self._snapshots:
-                merge_slo_gauges(registry, self._snapshots)
         if self.fleet is not None:
-            # Streamed deltas (including each worker's final flush)
-            # were applied as they arrived — there is nothing left to
-            # re-merge, which is what keeps shutdown idempotent.
+            # Every delta (including each worker's final flush) was
+            # applied as it arrived; only the ages need freezing.
             self.fleet.mark_stopped()
-            if registry:
-                self.fleet.refresh(registry)
+            self.fleet.refresh(registry)
         for shared in self._shared_populations.values():
             shared.close()
             shared.unlink(registry=registry if registry else None)
@@ -762,14 +743,6 @@ class ShardedService:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    @staticmethod
-    def _snapshot_index(snapshot) -> int:
-        worker = snapshot.worker_id or "shard-0"
-        try:
-            return int(str(worker).rsplit("-", 1)[-1])
-        except ValueError:
-            return 0
-
     def _shard_alive(self, index: int) -> bool:
         """Process liveness probe the watchdog uses (thread-safe)."""
         try:
@@ -782,8 +755,8 @@ class ShardedService:
         """The watchdog verdict (``{"status": ..., "shards": {...}}``).
 
         Empty-fleet shape (``{"status": "ok", "shards": {}}``) when
-        streaming is off — the ``/healthz`` schema stays stable either
-        way.
+        the watchdog is off — the ``/healthz`` schema stays stable
+        either way.
         """
         if self.fleet is None:
             return {"status": "ok", "shards": {}}
@@ -996,8 +969,6 @@ class ShardedService:
             self._finish(ticket, response)
         elif kind == "telemetry":
             self._apply_telemetry(message[1], message[2])
-        elif kind == "snapshot":
-            self._snapshots.append(message[2])
         elif kind == "done":
             finished.add(message[1])
         elif kind == "fatal":
@@ -1007,29 +978,27 @@ class ShardedService:
             self._fail_shard(index, text)
 
     def _apply_telemetry(self, index: int, payload: dict) -> None:
-        """Fold one worker heartbeat: merge the delta, refresh gauges.
+        """Fold one worker delta: merge it, refresh the fleet gauges.
 
         Runs on the collector thread.  The registry merge is safe
         against concurrent scrapes for the same reason the scrape
         handlers read without locks: counters/histograms mutate
         in-place under the GIL and the trace log is append-only.
+        Workers only send telemetry when the registry collects, so
+        ``fleet`` is always set here.
         """
         fleet = self.fleet
-        registry = self._registry
-        if fleet is not None:
-            fleet.record_heartbeat(
-                index,
-                payload["ts"],
-                payload["queue_depth"],
-                payload["inflight"],
-            )
-        delta = payload.get("delta")
-        if delta is not None and registry:
-            registry.merge(delta)
-            if fleet is not None:
-                fleet.record_delta(index, delta)
-        if fleet is not None and registry:
-            fleet.refresh(registry)
+        fleet.record_heartbeat(
+            index,
+            payload["ts"],
+            payload["queue_depth"],
+            payload["inflight"],
+        )
+        delta = payload["delta"]
+        if delta is not None:
+            self._registry.merge(delta)
+            fleet.record_delta(index, delta)
+        fleet.refresh(self._registry)
 
     def _finish(self, ticket: int, response: EstimateResponse) -> None:
         """Account one answered request and resolve its future."""

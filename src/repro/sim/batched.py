@@ -502,7 +502,6 @@ class BatchedExperimentEngine:
                         )
                         for shard_start, shard_stop in shards
                     ],
-                    None,
                 )
             # Copy out before the segment disappears.
             return depths_segment.array.copy()
@@ -646,7 +645,6 @@ def _grid_depths_worker(
     stop: int,
     spec: WorkloadSpec,
     config: PetConfig,
-    reporter: object = None,
 ) -> None:
     """Worker-process entry: fill one repetition shard of the grid.
 

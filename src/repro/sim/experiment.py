@@ -19,11 +19,7 @@ from ..analysis.stats import SeriesSummary, summarize
 from ..config import PAPER_RUNS_PER_POINT, PetConfig
 from ..errors import ConfigurationError
 from ..obs.profile import active_profiler
-from ..obs.progress import (
-    ProgressReporter,
-    ProgressTracker,
-    default_worker_id,
-)
+from ..obs.progress import ProgressTracker, default_worker_id
 from ..obs.registry import (
     NULL_REGISTRY,
     MetricsRegistry,
@@ -386,15 +382,24 @@ class ExperimentRunner:
 
         ``progress`` turns on live reporting: pass ``True`` for a
         stderr status line with throughput and ETA, or a configured
-        :class:`~repro.obs.progress.ProgressTracker`.  Worker processes
-        stream heartbeats back over a ``multiprocessing`` queue; the
-        serial path updates the tracker directly.
+        :class:`~repro.obs.progress.ProgressTracker`.  The tracker
+        ticks as each cell finishes: in the serial loop, or in the
+        parent as each worker's future completes.
         """
         if workers is not None and workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1 when given, got {workers}"
             )
         tracker = _make_tracker(progress, len(sizes), self.registry)
+
+        def tick(n: int, repeated: RepeatedEstimate) -> None:
+            if tracker is not None:
+                tracker.cell_done(
+                    n=n,
+                    slots=int(repeated.slots_per_run * self.repetitions),
+                    rounds=rounds * self.repetitions,
+                )
+
         start = time.perf_counter()
         with self.registry.span(
             "sweep", cells=len(sizes), workers=workers or 1
@@ -403,15 +408,7 @@ class ExperimentRunner:
                 results = []
                 for n in sizes:
                     repeated = self.run_sampled(n, config, rounds)
-                    if tracker is not None:
-                        tracker.cell_done(
-                            n=n,
-                            slots=int(
-                                repeated.slots_per_run
-                                * self.repetitions
-                            ),
-                            rounds=rounds * self.repetitions,
-                        )
+                    tick(n, repeated)
                     results.append(repeated)
             else:
                 # Derive one child trace context per cell in the
@@ -437,7 +434,7 @@ class ExperimentRunner:
                         )
                         for n in sizes
                     ],
-                    tracker,
+                    lambda index, pair: tick(sizes[index], pair[0]),
                 )
                 results = []
                 for repeated, snapshot in pairs:
@@ -482,49 +479,24 @@ def _make_tracker(
 def _run_pool(
     workers: int,
     submissions: "list[tuple]",
-    tracker: "ProgressTracker | None",
+    on_result: "Callable[[int, object], None] | None" = None,
 ) -> list:
-    """Fan submissions out over a process pool, draining heartbeats.
+    """Fan submissions out over a process pool, in submission order.
 
-    Each submission is ``(fn, *args)``; the worker function's final
-    argument slot receives the :class:`ProgressReporter` (or ``None``
-    when no tracker is active).  Results come back in submission order.
-    A ``multiprocessing.Manager`` queue carries the heartbeats — plain
-    ``multiprocessing.Queue`` objects cannot cross a
-    ``ProcessPoolExecutor`` submit boundary.
+    Each submission is ``(fn, *args)``.  ``on_result(index, result)``
+    runs in the parent as each future completes (completion order):
+    sweeps tick their progress tracker there, so a finished cell's
+    future is its heartbeat.
     """
-    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    manager = None
-    queue = None
-    reporter = None
-    if tracker is not None:
-        import multiprocessing
-
-        manager = multiprocessing.Manager()
-        queue = manager.Queue()
-        reporter = ProgressReporter(queue)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fn, *args, reporter)
-                for fn, *args in submissions
-            ]
-            pending = set(futures)
-            while pending:
-                _, pending = wait(
-                    pending,
-                    timeout=0.2 if queue is not None else None,
-                )
-                if tracker is not None and queue is not None:
-                    tracker.drain(queue)
-            results = [future.result() for future in futures]
-        if tracker is not None and queue is not None:
-            tracker.drain(queue)
-        return results
-    finally:
-        if manager is not None:
-            manager.shutdown()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *args) for fn, *args in submissions]
+        if on_result is not None:
+            index_of = {future: i for i, future in enumerate(futures)}
+            for future in as_completed(futures):
+                on_result(index_of[future], future.result())
+        return [future.result() for future in futures]
 
 
 def _sweep_cell(
@@ -536,7 +508,6 @@ def _sweep_cell(
     collect: bool = False,
     profile: bool = False,
     trace_context: "dict | None" = None,
-    reporter: "ProgressReporter | None" = None,
 ) -> "tuple[RepeatedEstimate, RegistrySnapshot | None]":
     """Worker-process entry: one sweep cell (module-level, picklable).
 
@@ -560,19 +531,8 @@ def _sweep_cell(
     runner = ExperimentRunner(
         base_seed=base_seed, repetitions=repetitions, registry=registry
     )
-    if reporter is not None:
-        reporter.emit(phase="start", n=n, force=True)
     with use_trace_context(TraceContext.from_dict(trace_context)):
         repeated = runner.run_sampled(n, config, rounds)
-    if reporter is not None:
-        reporter.emit(
-            phase="done",
-            cells_done=1,
-            slots=int(repeated.slots_per_run * repetitions),
-            rounds=rounds * repetitions,
-            n=n,
-            force=True,
-        )
     snapshot = (
         registry.snapshot(worker_id=default_worker_id())
         if collect

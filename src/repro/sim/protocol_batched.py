@@ -411,6 +411,15 @@ def sweep_protocol_cells(
     if registry is None:
         registry = get_registry()
     tracker = _make_tracker(progress, len(specs), registry)
+
+    def tick(spec: ProtocolCellSpec, result: ProtocolCellResult) -> None:
+        if tracker is not None:
+            tracker.cell_done(
+                n=spec.n,
+                slots=result.slots_per_run * repetitions,
+                rounds=spec.rounds * repetitions,
+            )
+
     draws_by_spec = (
         [_cell_draws(spec) for spec in specs] if share_seeds else None
     )
@@ -445,12 +454,7 @@ def sweep_protocol_cells(
                     on_error=on_error,
                     seeds=seeds,
                 )
-                if tracker is not None:
-                    tracker.cell_done(
-                        n=spec.n,
-                        slots=result.slots_per_run * repetitions,
-                        rounds=spec.rounds * repetitions,
-                    )
+                tick(spec, result)
                 results.append(result)
         else:
             segment = None
@@ -490,7 +494,7 @@ def sweep_protocol_cells(
                         )
                         for index, spec in enumerate(specs)
                     ],
-                    tracker,
+                    lambda index, pair: tick(specs[index], pair[0]),
                 )
             finally:
                 if segment is not None:
@@ -531,7 +535,6 @@ def _sweep_protocol_cell(
     seeds_spec: object = None,
     draws: int = 0,
     trace_context: "dict | None" = None,
-    reporter: object = None,
 ) -> tuple[ProtocolCellResult, object]:
     """Worker-process entry: one sweep cell (module-level, picklable).
 
@@ -559,8 +562,6 @@ def _sweep_protocol_cell(
             profiler=PhaseProfiler(registry=worker_registry)
         )
     protocol, population = spec.build()
-    if reporter is not None:
-        reporter.emit(phase="start", n=spec.n, force=True)
     segment = None
     seeds = None
     if seeds_spec is not None:
@@ -585,15 +586,6 @@ def _sweep_protocol_cell(
     finally:
         if segment is not None:
             segment.close()
-    if reporter is not None:
-        reporter.emit(
-            phase="done",
-            cells_done=1,
-            slots=result.slots_per_run * repetitions,
-            rounds=spec.rounds * repetitions,
-            n=spec.n,
-            force=True,
-        )
     snapshot = (
         worker_registry.snapshot(worker_id=default_worker_id())
         if collect

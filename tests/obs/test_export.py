@@ -106,26 +106,6 @@ class TestJsonLinesExporter:
         assert record["counters"] == {"sim.slots": 100}
         assert record["histograms"]["pet.gray_depth"]["count"] == 3
 
-    def test_heartbeat_record_kind(self):
-        from repro.obs import Heartbeat
-
-        sink = io.StringIO()
-        beats = [
-            Heartbeat(
-                worker_id="pid:5", cells_done=1, n=100, ts=12.5
-            ),
-            Heartbeat(worker_id="pid:6", cells_done=1, n=200),
-        ]
-        JsonLinesExporter(sink).export_heartbeats(beats)
-        records = [
-            json.loads(line)
-            for line in sink.getvalue().strip().split("\n")
-        ]
-        assert [r["kind"] for r in records] == ["heartbeat"] * 2
-        assert records[0]["worker_id"] == "pid:5"
-        assert records[0]["ts"] == 12.5
-        assert records[1]["n"] == 200
-
     def test_file_destination_appends(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         exporter = JsonLinesExporter(str(path))

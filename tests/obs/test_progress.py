@@ -1,18 +1,10 @@
-"""Live sweep progress: reporter throttling, tracker ETA, rendering."""
+"""Live sweep progress: tracker aggregates, ETA, rendering."""
 
 from __future__ import annotations
 
 import io
-import pickle
-import queue
 
-from repro.obs.progress import (
-    DEFAULT_THROTTLE_SECONDS,
-    Heartbeat,
-    ProgressReporter,
-    ProgressTracker,
-    default_worker_id,
-)
+from repro.obs.progress import ProgressTracker
 from repro.obs.registry import MetricsRegistry
 
 
@@ -25,41 +17,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-class TestReporter:
-    def test_emit_puts_a_heartbeat(self):
-        sink: "queue.Queue[Heartbeat]" = queue.Queue()
-        reporter = ProgressReporter(sink, worker_id="pid:1")
-        assert reporter.emit(
-            phase="done", cells_done=1, slots=64, rounds=8, n=100
-        )
-        beat = sink.get_nowait()
-        assert beat.worker_id == "pid:1"
-        assert beat.cells_done == 1
-        assert beat.slots == 64
-        assert beat.n == 100
-        assert beat.ts > 0
-
-    def test_unforced_emissions_are_throttled(self):
-        sink: "queue.Queue[Heartbeat]" = queue.Queue()
-        reporter = ProgressReporter(sink, worker_id="w")
-        assert reporter.emit()
-        assert not reporter.emit()  # inside the throttle window
-        assert reporter.emit(force=True)  # force bypasses it
-        assert sink.qsize() == 2
-
-    def test_worker_id_defaults_to_pid_tag(self):
-        reporter = ProgressReporter(queue.Queue())
-        assert reporter.worker_id == default_worker_id()
-        assert reporter.worker_id.startswith("pid:")
-
-    def test_pickle_resets_throttle_state(self):
-        reporter = ProgressReporter(None, worker_id="w")
-        reporter._last_emit = 123.0
-        clone = pickle.loads(pickle.dumps(reporter))
-        assert clone._last_emit == 0.0
-        assert clone.min_interval == DEFAULT_THROTTLE_SECONDS
 
 
 class TestTracker:
@@ -97,17 +54,6 @@ class TestTracker:
         assert gauges["sweep.progress.slots_done"] == 32
         assert gauges["sweep.progress.cells_per_second"] == 1.0
         assert gauges["sweep.progress.eta_seconds"] == 1.0
-
-    def test_drain_consumes_everything_nonblocking(self):
-        source: "queue.Queue[Heartbeat]" = queue.Queue()
-        for index in range(3):
-            source.put(
-                Heartbeat(worker_id="w", cells_done=1, n=index)
-            )
-        tracker = ProgressTracker(3, registry=MetricsRegistry())
-        assert tracker.drain(source) == 3
-        assert tracker.drain(source) == 0
-        assert tracker.cells_done == 3
 
     def test_render_throttles_and_finish_forces(self):
         clock = FakeClock()

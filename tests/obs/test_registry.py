@@ -283,6 +283,26 @@ class TestDeltaSnapshotter:
         assert streamed.trace == direct.trace
         assert streamed.events == direct.events
 
+    def test_single_delta_equals_full_snapshot_with_zero_metrics(self):
+        from repro.obs import DeltaSnapshotter
+
+        source = MetricsRegistry()
+        snapshotter = DeltaSnapshotter(source, worker_id="shard-1")
+        self._populate(source)
+        source.counter("untouched")
+        source.histogram("empty")
+        streamed = MetricsRegistry()
+        streamed.merge(snapshotter.delta())
+        direct = MetricsRegistry()
+        direct.merge(source.snapshot(worker_id="shard-1"))
+        got, want = streamed.snapshot(), direct.snapshot()
+        assert got["counters"] == want["counters"]
+        assert got["counters"]["untouched"] == 0.0
+        assert got["histograms"] == want["histograms"]
+        assert got["histograms"]["empty"]["count"] == 0
+        # Shipped once; an unchanged zero metric is not re-sent.
+        assert snapshotter.delta() is None
+
     def test_deltas_carry_only_increments(self):
         from repro.obs import DeltaSnapshotter
 

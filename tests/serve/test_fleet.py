@@ -294,6 +294,6 @@ class TestConfigValidation:
         with ShardedService(
             shards=1, config=ServiceConfig(), registry=registry
         ) as service:
-            assert service.fleet is None
+            assert service.fleet.monitor is None
             health = service.fleet_health()
         assert health == {"status": "ok", "shards": {}}

@@ -224,6 +224,43 @@ class TestMergedTelemetry:
         assert gauges["serve.slo.good_fast"] == len(requests)
         assert gauges["serve.slo.burn_rate_fast"] == 0.0
 
+    def test_stop_time_run_publishes_shard_attribution_gauges(self):
+        requests = _stream() + _stream()  # replays hit the cache
+        attribution = (
+            "requests", "cache_hits", "cache_misses", "p99_seconds",
+            "burn_rate_fast",
+        )
+        published = {}
+        for interval in (None, 0.05):
+            registry = MetricsRegistry()
+            run_sharded(
+                requests,
+                shards=2,
+                config=ServiceConfig(snapshot_interval_seconds=interval),
+                registry=registry,
+            )
+            snapshot = registry.snapshot()
+            gauges, counters = snapshot.gauges, snapshot.counters
+            published[interval] = {
+                name
+                for name in gauges
+                if name.startswith("serve.shard.")
+                and name.rsplit(".", 1)[-1] in attribution
+            }
+            per_shard = sum(
+                gauges[f"serve.shard.{index}.{name}"]
+                for index in range(2)
+                for name in ("cache_hits", "cache_misses")
+            )
+            assert per_shard == counters["serve.cache.hits"] + counters[
+                "serve.cache.misses"
+            ]
+        assert published[None] == published[0.05] == {
+            f"serve.shard.{index}.{name}"
+            for index in range(2)
+            for name in attribution
+        }
+
     def test_end_to_end_latency_is_router_measured(self):
         registry = MetricsRegistry()
         responses = run_sharded(

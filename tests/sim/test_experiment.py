@@ -118,6 +118,41 @@ class TestSweepWorkers:
             assert a.true_n == b.true_n == c.true_n
             assert a.slots_per_run == b.slots_per_run == c.slots_per_run
 
+    def test_parallel_progress_counts_finished_cells(self, monkeypatch):
+        import multiprocessing
+
+        from repro.obs import MetricsRegistry, ProgressTracker
+
+        def no_manager(*args, **kwargs):
+            raise AssertionError("parallel progress started a Manager")
+
+        runner = ExperimentRunner(base_seed=8, repetitions=10)
+        config = PetConfig()
+        trackers = {
+            workers: ProgressTracker(
+                len(self.SIZES), registry=MetricsRegistry(), stream=None
+            )
+            for workers in (None, 2)
+        }
+        serial = runner.sweep(
+            self.SIZES, config, rounds=16, progress=trackers[None]
+        )
+        monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+        parallel = runner.sweep(
+            self.SIZES, config, rounds=16, workers=2,
+            progress=trackers[2],
+        )
+        for a, b in zip(serial, parallel):
+            assert a.estimates.tobytes() == b.estimates.tobytes()
+            assert a.slots_per_run == b.slots_per_run
+        counts = {
+            workers: (t.cells_done, t.slots_done, t.rounds_done)
+            for workers, t in trackers.items()
+        }
+        assert counts[2] == counts[None]
+        assert counts[None][0] == len(self.SIZES)
+        assert counts[None][1] > 0
+
     def test_more_workers_than_cells(self):
         runner = ExperimentRunner(base_seed=9, repetitions=5)
         config = PetConfig()

@@ -164,6 +164,41 @@ class TestSweep:
             assert a.estimates.tolist() == b.estimates.tolist()
             assert a.slots_per_run == b.slots_per_run
 
+    def test_parallel_progress_counts_finished_cells(self, monkeypatch):
+        import multiprocessing
+
+        from repro.obs import ProgressTracker
+
+        def no_manager(*args, **kwargs):
+            raise AssertionError("parallel progress started a Manager")
+
+        trackers = {
+            workers: ProgressTracker(
+                len(self.SPECS), registry=MetricsRegistry(), stream=None
+            )
+            for workers in (None, 2)
+        }
+        serial = sweep_protocol_cells(
+            self.SPECS, repetitions=5, base_seed=21,
+            progress=trackers[None],
+        )
+        monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+        parallel = sweep_protocol_cells(
+            self.SPECS, repetitions=5, base_seed=21, workers=2,
+            progress=trackers[2],
+        )
+        for a, b in zip(serial, parallel):
+            assert a.protocol == b.protocol
+            assert a.estimates.tobytes() == b.estimates.tobytes()
+            assert a.slots_per_run == b.slots_per_run
+        counts = {
+            workers: (t.cells_done, t.slots_done, t.rounds_done)
+            for workers, t in trackers.items()
+        }
+        assert counts[2] == counts[None]
+        assert counts[None][0] == len(self.SPECS)
+        assert counts[None][1] > 0
+
     def test_parallel_cells_are_recorded_in_parent_registry(self):
         registry = MetricsRegistry()
         sweep_protocol_cells(
