@@ -88,8 +88,12 @@ def corrected_estimate(
 def estimator_bias(n: int, height: int) -> float:
     """Relative bias of the plain estimator at (n, H).
 
-    ``phi^-1 2^(E[d]) / n - 1``: zero in the unsaturated regime,
-    increasingly negative as ``2^H`` approaches ``n``.
+    ``phi^-1 2^(E[d]) / n - 1``.  Positive at small ``n``, about
+    ``+1/(2n)`` (at H = 32: +0.26 at n = 2, +0.050 at n = 10, +0.0005
+    at n = 1000), because Eq. 14 inverts the asymptotic mean depth
+    ``log2(phi n)``, which the paper claims only for ``1 << n``.  Near
+    zero in between (about -1e-5 at n = 10^5, H = 32), and increasingly
+    negative as ``2^H`` approaches ``n``.
     """
     from ..core.accuracy import PHI
 

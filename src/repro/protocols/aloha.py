@@ -297,4 +297,4 @@ class AlohaBatchedEngine(BatchedRoundEngine):
         return self.protocol.estimate_from_statistics(statistics)
 
     def work_per_seed(self, population: TagPopulation) -> int:
-        return max(1, population.size + self.protocol.frame_size)
+        return max(1, population.size, self.protocol.frame_size)

@@ -354,10 +354,13 @@ class BatchedRoundEngine(abc.ABC):
         """
 
     def work_per_seed(self, population: TagPopulation) -> int:
-        """Rough array elements touched per seed; drives caller chunking.
+        """Width of the widest single per-seed temporary row.
 
-        Engines whose scratch arrays scale with something other than the
-        population (frame-occupancy bincounts, for example) override
-        this so the driver keeps chunks cache-sized.
+        The driver sizes chunks so that each temporary — not their sum
+        — holds at most :data:`~repro.sim.batched.CHUNK_ELEMENTS`
+        elements.  The default is one row per tag (the hash matrix);
+        engines with a wider scratch row (a frame-occupancy count
+        matrix over a large frame, for example) override this so a big
+        frame over a small population stays bounded.
         """
         return max(1, population.size)

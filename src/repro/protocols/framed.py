@@ -98,7 +98,9 @@ class _ZeroFrameEstimator(CardinalityEstimatorProtocol):
             slots = slots[mask]
         if slots.size == 0:
             return self.frame_size
-        occupied = np.unique(slots).size
+        occupied = np.count_nonzero(
+            np.bincount(slots, minlength=self.frame_size)
+        )
         return self.frame_size - occupied
 
     def estimate_from_zero_fraction(self, zero_fraction: float) -> float:
@@ -229,10 +231,9 @@ class ZeroFrameBatchedEngine(BatchedRoundEngine):
         return self.protocol.estimate_from_zero_fraction(zero_fraction)
 
     def work_per_seed(self, population: TagPopulation) -> int:
-        hashes = population.size * (
-            2 if self.protocol.persistence < 1.0 else 1
-        )
-        return max(1, hashes + self.protocol.frame_size + 1)
+        # Widest row: the slot (and participation) matrices, or the
+        # count matrix with its sentinel column.
+        return max(1, population.size, self.protocol.frame_size + 1)
 
 
 class UseProtocol(_ZeroFrameEstimator):

@@ -288,4 +288,4 @@ class LofBatchedEngine(BatchedRoundEngine):
         return self.protocol.estimate_from_mean(float(statistics.mean()))
 
     def work_per_seed(self, population: TagPopulation) -> int:
-        return max(1, population.size + self.protocol.frame_slots)
+        return max(1, population.size, self.protocol.frame_slots)

@@ -58,8 +58,12 @@ from .workload import WorkloadSpec, build_population
 
 #: Array elements per chunk for every chunked kernel: the fresh-code
 #: (rounds x tags) matrix here, the serve tier's fused PET groups, and
-#: the protocol engines' statistics passes.  32K ``uint64`` elements is
-#: 256 KiB per temporary, so every pass over a chunk stays in L2.
+#: the protocol engines' statistics passes.  The bound is per
+#: temporary, not per chunk: each array a pass builds (hash matrix,
+#: mask, count matrix) holds at most 32K elements, 256 KiB as
+#: ``uint64``, so every pass over it stays in L2.  The protocol
+#: engines size their chunks from the widest such row
+#: (:meth:`~repro.protocols.base.BatchedRoundEngine.work_per_seed`).
 #: Chunking never changes results: every kernel is elementwise in the
 #: round axis.
 CHUNK_ELEMENTS = 1 << 15
@@ -77,17 +81,23 @@ def batched_gray_depths_sorted(
     whole batch is one ``searchsorted``, an elementwise min of the two
     XORs, and one leading-zeros count per path.  Past either end of the
     code array both index clamps land on the same code, so no edge
-    needs masking.
+    needs masking.  The paths are searched in sorted order, which
+    keeps consecutive binary searches on warm cache lines (about 3x
+    faster than random needles at 10^4 codes), and the minima are
+    scattered back into round order.
     """
     rounds = int(path_bits.shape[0])
     if sorted_codes.size == 0:
         return np.zeros(rounds, dtype=np.int64)
-    shift = np.uint64(64 - height)
-    positions = np.searchsorted(sorted_codes, path_bits, side="left")
+    order = np.argsort(path_bits)
+    paths = path_bits[order]
+    positions = np.searchsorted(sorted_codes, paths, side="left")
     left = sorted_codes[np.maximum(positions - 1, 0)]
     right = sorted_codes[np.minimum(positions, sorted_codes.size - 1)]
-    nearest = np.minimum(left ^ path_bits, right ^ path_bits)
-    return np.minimum(height, leading_zeros64_vec(nearest << shift))
+    nearest = np.empty(rounds, dtype=np.uint64)
+    nearest[order] = np.minimum(left ^ paths, right ^ paths)
+    nearest <<= np.uint64(64 - height)
+    return np.minimum(height, leading_zeros64_vec(nearest))
 
 
 def batched_gray_depths_fresh(

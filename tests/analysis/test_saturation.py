@@ -43,6 +43,12 @@ class TestEstimatorBias:
     def test_bias_worsens_with_saturation(self):
         assert estimator_bias(50_000, 16) < estimator_bias(50_000, 20)
 
+    def test_small_n_bias_is_about_one_over_2n(self):
+        for n in (10, 100, 1000):
+            assert estimator_bias(n, 32) == pytest.approx(
+                1.0 / (2 * n), rel=0.02
+            )
+
 
 class TestCorrectedEstimate:
     def test_inverts_exact_depth(self):

@@ -10,9 +10,11 @@ from repro.obs import MetricsRegistry
 from repro.obs.registry import NULL_REGISTRY
 from repro.protocols import make_protocol
 from repro.protocols.pet import PetProtocol
+from repro.sim.batched import CHUNK_ELEMENTS
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.protocol_batched import (
     ProtocolCellSpec,
+    _chunked_statistics,
     run_protocol_cell,
     seed_matrix,
     sweep_protocol_cells,
@@ -79,6 +81,57 @@ class TestBitIdentity:
         )
         assert cell.statistics.shape == (4, 15)
         assert cell.slots_per_run == 5 * ezb.slots_per_round()
+
+
+def _spy_rows(engine) -> list[int]:
+    """Record the row count of every ``round_statistics`` call."""
+    rows: list[int] = []
+    original = engine.round_statistics
+
+    def spy(seeds, population):
+        rows.append(len(seeds))
+        return original(seeds, population)
+
+    engine.round_statistics = spy
+    return rows
+
+
+class TestChunkRule:
+    """Chunks bound each per-seed temporary, not their sum."""
+
+    @pytest.mark.parametrize("name,config", ENGINE_CASES)
+    def test_chunks_match_one_call_per_seed(self, name, config, population):
+        engine = make_protocol(name, **config).batched_engine()
+        seeds = seed_matrix(base_seed=17, repetitions=4, draws=100)
+        per_seed = [
+            engine.round_statistics(seeds.ravel()[i : i + 1], population)[0]
+            for i in range(seeds.size)
+        ]
+        rows = _spy_rows(engine)
+        chunked = _chunked_statistics(engine, seeds, population)
+        assert len(rows) > 1  # the 400 seeds really were split
+        assert chunked.shape == seeds.shape
+        assert chunked.ravel().tolist() == per_seed
+
+    @pytest.mark.parametrize("frame_size", [1 << 12, 1 << 16])
+    @pytest.mark.parametrize(
+        "name,sentinel", [("aloha", 0), ("ezb", 1)]
+    )
+    def test_large_frame_over_small_population_stays_bounded(
+        self, name, sentinel, frame_size
+    ):
+        small = build_population(WorkloadSpec(size=100, seed=5))
+        engine = make_protocol(name, frame_size=frame_size).batched_engine()
+        # The count matrix (plus EZB's sentinel column) is the widest row.
+        width = max(small.size, frame_size + sentinel)
+        assert engine.work_per_seed(small) == width
+        seeds = seed_matrix(base_seed=3, repetitions=2, draws=12)
+        rows = _spy_rows(engine)
+        _chunked_statistics(engine, seeds, small)
+        assert sum(rows) == seeds.size
+        for count in rows:
+            # A row wider than the bound is evaluated alone.
+            assert count * width <= max(CHUNK_ELEMENTS, width)
 
 
 class TestSaturationPolicy:
