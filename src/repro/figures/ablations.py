@@ -3,7 +3,13 @@
 * :func:`passive_vs_active` — does reusing one preloaded code across all
   rounds (Sec. 4.5) degrade accuracy relative to fresh per-round codes?
   The paper argues the path randomness yields "near independent"
-  instances; this measures how near.
+  instances; this measures how near at its default n = 10^4 only.
+  Rounds are i.i.d. only given the code set, whose draw adds a
+  relative variance of about 0.40/n to the estimate that more rounds
+  cannot lower.  At n = 10^4 that floor hides under the round noise,
+  but below about n = 0.4 c^2 / eps^2 no round count meets an
+  (eps, delta) contract: at (0.1, 0.05) passive coverage was 0.598
+  at n = 30 (see EXPERIMENTS.md).
 * :func:`height_sensitivity` — the hash-saturation regime: what happens
   to the estimate when ``2^H`` is not ``>> n`` (Eq. 1's boundary).
 * :func:`search_cost` — per-round slot cost of the linear (Alg. 1) scan

@@ -86,28 +86,49 @@ class HashFamily(abc.ABC):
         digests = self.digest_many(seed, keys)
         return digests >> np.uint64(64 - bits)
 
+    def premix_seeds(self, seeds: np.ndarray, backend=None) -> np.ndarray:
+        """The per-seed half of :meth:`digest_matrix`.
+
+        Returns one word per seed for :meth:`mix_keys`.  The base
+        implementation is the identity; families whose digest mixes
+        the seed on its own (SplitMix64) do that mix here, so a caller
+        hashing many key chunks under the same seeds pays it once.
+        ``backend`` is the kernel backend to hash on (``None``: the
+        active one).
+        """
+        return np.asarray(seeds)
+
+    def mix_keys(
+        self, premixed: np.ndarray, keys: np.ndarray, backend=None
+    ) -> np.ndarray:
+        """The per-key half of :meth:`digest_matrix`.
+
+        ``premixed`` comes from :meth:`premix_seeds`; the result is the
+        ``(len(premixed), len(keys))`` digest matrix.  The base
+        implementation loops over seeds calling :meth:`digest_many`.
+        """
+        out = np.empty((len(premixed), len(keys)), dtype=np.uint64)
+        for index, seed in enumerate(premixed):
+            out[index] = self.digest_many(int(seed), keys)
+        return out
+
     def digest_matrix(self, seeds: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Digests for every (seed, key) pair: a ``(len(seeds), len(keys))``
         ``uint64`` matrix with ``out[i, j] == digest(seeds[i], keys[j])``.
 
-        The base implementation loops over seeds calling
-        :meth:`digest_many`; families with a numpy fast path override it
-        with a single broadcast (the batched experiment engine computes
-        many per-round code sets at once through this hook).
+        Always ``mix_keys(premix_seeds(seeds), keys)``; families with a
+        numpy fast path override those two halves with broadcasts (the
+        batched engines compute many per-round code sets at once
+        through this hook).
         """
-        seeds = np.asarray(seeds)
-        out = np.empty((len(seeds), len(keys)), dtype=np.uint64)
-        for index, seed in enumerate(seeds):
-            out[index] = self.digest_many(int(seed), keys)
-        return out
+        return self.mix_keys(self.premix_seeds(seeds), keys)
 
     def code_matrix(
         self, seeds: np.ndarray, keys: np.ndarray, bits: int
     ) -> np.ndarray:
         """Vectorized :meth:`code` over every (seed, key) pair.
 
-        Returns a new array, so callers may reduce it in place (the
-        fresh-code gray-depth kernel XORs each round's path into it).
+        Returns a new array that callers may modify in place.
         """
         _check_bits(bits)
         return self.digest_matrix(seeds, keys) >> np.uint64(64 - bits)
@@ -136,17 +157,21 @@ class SplitMix64Family(HashFamily):
         seeded = np.uint64(splitmix64(_normalized_seed(seed)))
         return _splitmix64_vec(keys64 ^ seeded)
 
-    def digest_matrix(self, seeds: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def premix_seeds(self, seeds: np.ndarray, backend=None) -> np.ndarray:
+        """``splitmix64`` of every seed: one pass, no Python loop."""
+        return _splitmix64_vec(np.asarray(seeds, dtype=np.uint64), backend)
+
+    def mix_keys(
+        self, premixed: np.ndarray, keys: np.ndarray, backend=None
+    ) -> np.ndarray:
         """One broadcast over the (seeds x keys) grid; no Python loop."""
-        seeds64 = np.asarray(seeds, dtype=np.uint64)
         keys64 = np.asarray(keys, dtype=np.uint64)
-        seeded = _splitmix64_vec(seeds64)
-        return _splitmix64_vec(keys64[None, :] ^ seeded[:, None])
+        return _splitmix64_vec(keys64[None, :] ^ premixed[:, None], backend)
 
 
-def _splitmix64_vec(values: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer, routed through the active
-    kernel backend.
+def _splitmix64_vec(values: np.ndarray, backend=None) -> np.ndarray:
+    """Vectorized SplitMix64 finalizer, routed through a kernel backend
+    (``None``: the active one).
 
     The reference (numpy) implementation lives in
     :mod:`repro.sim.backends.numpy_backend`; selecting another backend
@@ -155,7 +180,9 @@ def _splitmix64_vec(values: np.ndarray) -> np.ndarray:
     contract tests enforce element-wise equality with the scalar
     :func:`splitmix64`.
     """
-    return _active_backend().splitmix64_vec(values)
+    if backend is None:
+        backend = _active_backend()
+    return backend.splitmix64_vec(values)
 
 
 def _active_backend():

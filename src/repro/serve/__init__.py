@@ -3,7 +3,7 @@
 A single :class:`EstimationService` accepts concurrent
 :class:`~repro.api.EstimateRequest` submissions (many tenants / reader
 fields) and coalesces them through a micro-batching scheduler: each
-tick packs the pending compatible requests — same protocol
+drained batch packs the pending compatible requests — same protocol
 configuration, same cached population — into one batched kernel
 invocation (:mod:`repro.serve.batching`), so serving 32 concurrent
 estimates costs one kernel launch, not 32.

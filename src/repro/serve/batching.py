@@ -1,6 +1,6 @@
 """Micro-batch execution: fuse compatible requests into one kernel call.
 
-The scheduler (:mod:`repro.serve.service`) drains a tick's worth of
+The scheduler (:mod:`repro.serve.service`) drains a batch of
 pending requests and hands them here as resolved plans.  This module
 groups them by *fusion key* — same protocol class/config and same
 population object — and executes each group through the batched
@@ -240,7 +240,7 @@ def execute_micro_batch(
     batch: Sequence[ResolvedRequest],
     report: MicroBatchReport | None = None,
 ) -> list:
-    """Execute one tick's requests, fusing compatible ones.
+    """Execute one drained batch of requests, fusing compatible ones.
 
     Returns one entry per request, in input order: a
     :class:`~repro.protocols.base.ProtocolResult` on success or the

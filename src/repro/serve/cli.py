@@ -135,13 +135,17 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         "--max-batch-size",
         type=int,
         default=ServiceConfig.max_batch_size,
-        help="most requests coalesced into one scheduler tick",
+        help="most requests coalesced into one drained batch",
     )
     parser.add_argument(
         "--tick",
         type=float,
         default=ServiceConfig.tick_seconds,
-        help="coalescing window in seconds",
+        help=(
+            "opt-in fixed coalescing window in seconds before each"
+            " drain; the default 0 drains at once and coalesces the"
+            " requests that arrive while a batch runs"
+        ),
     )
     parser.add_argument(
         "--tenant-quota",

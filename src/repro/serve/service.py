@@ -4,9 +4,12 @@
 submissions from many concurrent tasks (tenants, reader fields) and
 answers each with an :class:`~repro.api.EstimateResponse`.  Instead of
 executing requests one by one, a scheduler task runs a *micro-batching
-loop*: it sleeps one coalescing tick, drains the pending queue, and
-hands the whole batch to :func:`repro.serve.batching.execute_micro_batch`,
-which fuses compatible requests into single batched-kernel calls.
+loop*: it wakes on a non-empty queue, drains it, and hands the whole
+batch to :func:`repro.serve.batching.execute_micro_batch`, which fuses
+compatible requests into single batched-kernel calls.  Coalescing
+comes from work in flight: requests that arrive while a batch executes
+form the next batch (an opt-in ``tick_seconds`` window adds a fixed
+sleep before each drain).
 Under the same seed a request answered from a fused batch is
 bit-identical to :func:`repro.estimate` — coalescing is a pure
 throughput optimisation, never a semantics change.
@@ -107,10 +110,14 @@ class ServiceConfig:
         Global bound on pending requests; submissions past it are
         rejected with backpressure.
     max_batch_size:
-        Most requests drained per scheduler tick (one micro-batch).
+        Most requests drained at once (one micro-batch).
     tick_seconds:
-        Coalescing window: how long the scheduler lets submissions
-        accumulate before draining a batch.
+        Opt-in fixed coalescing window: how long the scheduler sleeps
+        before each drain so submissions accumulate.  The default, 0,
+        drains as soon as the scheduler wakes; batches then coalesce
+        from the requests that arrive while the previous batch
+        executes in its worker thread, and an idle service answers a
+        lone request without any wait.
     tenant_quota:
         Most pending requests any single tenant may hold; the
         per-tenant check runs *before* the global one, so one noisy
@@ -149,7 +156,7 @@ class ServiceConfig:
 
     max_queue_depth: int = 256
     max_batch_size: int = 64
-    tick_seconds: float = 0.002
+    tick_seconds: float = 0.0
     tenant_quota: int = 64
     degrade_queue_depth: int | None = None
     retry_after_seconds: float = 0.05
@@ -217,7 +224,7 @@ class ServiceConfig:
 
 @dataclass
 class _Pending:
-    """One queued request awaiting its scheduler tick."""
+    """One queued request awaiting the scheduler's next drain."""
 
     request: EstimateRequest
     future: asyncio.Future
@@ -318,7 +325,7 @@ class EstimationService:
 
     @property
     def queue_depth(self) -> int:
-        """Requests currently waiting for a scheduler tick."""
+        """Requests currently waiting for the scheduler's next drain."""
         return len(self._queue)
 
     @property
@@ -483,7 +490,7 @@ class EstimationService:
     # -- scheduler ----------------------------------------------------
 
     async def _scheduler(self) -> None:
-        """The micro-batching loop: tick, drain, fuse, answer."""
+        """The micro-batching loop: wake, drain, fuse, answer."""
         while True:
             if not self._queue:
                 if self._stopping:
@@ -492,8 +499,8 @@ class EstimationService:
                 await self._wake.wait()
                 continue
             if self.config.tick_seconds and not self._stopping:
-                # The coalescing window: let concurrent submitters
-                # land in the same batch.
+                # The opt-in coalescing window: let concurrent
+                # submitters land in the same batch.
                 await asyncio.sleep(self.config.tick_seconds)
             batch = [
                 self._queue.popleft()

@@ -8,8 +8,8 @@ module scales the same service *horizontally*:
 every submission (tenant quota and global backpressure, exactly as the
 single-process service would) and hash-routes admitted requests by
 **protocol-config group** to ``N`` worker shard processes, each running
-an unmodified :class:`~repro.serve.service.EstimationService` tick
-loop.
+an unmodified :class:`~repro.serve.service.EstimationService`
+scheduler loop.
 
 Design invariants:
 

@@ -21,11 +21,14 @@ operations per repetition and no Python round loop at all:
   round's gray depth comes from a single batched ``searchsorted``, an
   XOR against the two neighbours, their elementwise min, and one
   leading-zeros count per round;
-* for per-round fresh (active) codes the code matrix is produced by the
-  hash family's broadcast :meth:`~repro.hashing.family.HashFamily.code_matrix`
-  in cache-sized chunks of rounds, XORed with the paths in place, and
-  reduced with one row ``min`` — then one leading-zeros count per
-  round, not per element;
+* for per-round fresh (active) codes the digest matrix is produced in
+  cache-sized chunks of rounds by the hash family's broadcast hash
+  (seeds pre-mixed once per call by
+  :meth:`~repro.hashing.family.HashFamily.premix_seeds`, keys mixed
+  per chunk by :meth:`~repro.hashing.family.HashFamily.mix_keys`),
+  XORed in place with the paths moved to the top ``H`` bits, and
+  reduced with one row ``min`` — then one clamped leading-zeros count
+  per round, not per element, and no per-element shift;
 * slot accounting is a table lookup
   (:func:`repro.core.search.slots_lookup_table`) plus a sum — no oracle
   replay per round.
@@ -53,6 +56,7 @@ from ..hashing.family import HashFamily
 from ..hashing.geometric import leading_zeros64_vec
 from ..obs.profile import active_profiler
 from ..obs.registry import MetricsRegistry, get_registry
+from .backends import active_backend
 from .experiment import RepeatedEstimate
 from .workload import WorkloadSpec, build_population
 
@@ -111,26 +115,37 @@ def batched_gray_depths_fresh(
     """Gray depths of many paths, each against its own fresh code set.
 
     Active tags rehash per round, so the sort cannot be amortised.
-    Instead the ``(rounds, tags)`` code matrix is produced chunk-wise by
-    the family's broadcast hash and XORed with each round's path in
-    place.  Leading zeros are monotone non-increasing in the unsigned
-    value, so ``max_t clz(x_t) == clz(min_t x_t)``: a row ``min`` per
-    chunk picks each round's nearest code, and one leading-zeros pass
-    over those minima — one count per round — gives every depth.
+    Instead the ``(rounds, tags)`` digest matrix is produced chunk-wise
+    by the family's two-part broadcast hash: the seeds are pre-mixed
+    once per call (:meth:`~repro.hashing.family.HashFamily.premix_seeds`)
+    and each chunk mixes in the keys
+    (:meth:`~repro.hashing.family.HashFamily.mix_keys`).  No digest is
+    shifted down to its ``H``-bit code; each round's path is shifted up
+    instead, ``s = 64 - H``, and XORed into the raw digests in place.
+    A floor shift is monotone, so ``min_t((d_t ^ (p << s)) >> s) ==
+    min_t(d_t ^ (p << s)) >> s``: the row ``min`` picks the same
+    nearest code, and its low ``s`` bits can only add leading zeros
+    past ``H``, which the ``min(H, .)`` clamp removes.  Leading zeros
+    are monotone non-increasing in the unsigned value, so
+    ``max_t clz(x_t) == clz(min_t x_t)``: one leading-zeros pass over
+    the minima — one count per round — gives every depth.  The kernel
+    backend is resolved once per call and runs every hash and clz pass.
     """
     rounds = int(seeds.shape[0])
     population_size = int(tag_ids.size)
     if population_size == 0:
         return np.zeros(rounds, dtype=np.int64)
+    backend = active_backend()
+    premixed = family.premix_seeds(seeds, backend)
+    top_paths = path_bits << np.uint64(64 - height)
     nearest = np.empty(rounds, dtype=np.uint64)
     chunk = max(1, chunk_elements // population_size)
     for start in range(0, rounds, chunk):
         stop = min(start + chunk, rounds)
-        codes = family.code_matrix(seeds[start:stop], tag_ids, height)
-        codes ^= path_bits[start:stop, None]
-        codes.min(axis=1, out=nearest[start:stop])
-    nearest <<= np.uint64(64 - height)
-    return np.minimum(height, leading_zeros64_vec(nearest))
+        digests = family.mix_keys(premixed[start:stop], tag_ids, backend)
+        digests ^= top_paths[start:stop, None]
+        digests.min(axis=1, out=nearest[start:stop])
+    return np.minimum(height, backend.leading_zeros64_vec(nearest))
 
 
 class BatchedExperimentEngine:

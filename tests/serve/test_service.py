@@ -6,8 +6,10 @@ No pytest-asyncio in the toolchain — each test owns its loop through
 
 import asyncio
 
+import numpy as np
 import pytest
 
+import repro
 import repro.serve.service as service_module
 from repro.api import (
     RESPONSE_STATUSES,
@@ -18,6 +20,7 @@ from repro.api import (
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs import MetricsRegistry
 from repro.serve import EstimationService, ServiceConfig, run_requests
+from repro.tags.population import TagPopulation
 
 
 def _request(seed, tenant="default", **overrides):
@@ -160,6 +163,78 @@ class TestCoalescedIdentity:
         responses = run_requests(requests, concurrency=3)
         assert [r.status for r in responses] == ["ok", "error", "ok"]
         assert "rounds" in responses[1].detail
+
+
+class TestNaturalBatching:
+    """The default scheduler never sleeps: coalescing comes from work in
+    flight and from submissions that land before the scheduler runs."""
+
+    @staticmethod
+    def _count_sleeps(monkeypatch):
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def counting_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(
+            service_module.asyncio, "sleep", counting_sleep
+        )
+        return sleeps
+
+    @staticmethod
+    def _facade(request):
+        population = TagPopulation.random(
+            request.population,
+            np.random.default_rng(request.population_seed),
+        )
+        return repro.estimate(
+            population, seed=request.seed, rounds=request.rounds
+        )
+
+    def test_default_has_no_fixed_window(self):
+        assert ServiceConfig().tick_seconds == 0
+
+    def test_lone_request_answered_without_sleeping(self, monkeypatch):
+        sleeps = self._count_sleeps(monkeypatch)
+        request = _request(11)
+
+        async def main():
+            async with EstimationService() as service:
+                return await service.submit(request)
+
+        response = asyncio.run(main())
+        assert sleeps == []
+        assert response.status == "ok"
+        expected = self._facade(request)
+        assert response.result.n_hat == expected.n_hat
+        assert response.result.total_slots == expected.total_slots
+
+    def test_gathered_burst_runs_as_one_fused_group(self, monkeypatch):
+        sleeps = self._count_sleeps(monkeypatch)
+        registry = MetricsRegistry()
+        requests = [_request(s) for s in range(20, 28)]
+
+        async def main():
+            async with EstimationService(registry=registry) as service:
+                return await _submit_burst(service, requests)
+
+        responses = asyncio.run(main())
+        assert sleeps == []
+        assert registry.counter("serve.batch.groups").value == 1
+        assert registry.counter("serve.batch.fused_requests").value == 8
+        sizes = registry.histogram("serve.batch.size")
+        assert (sizes.count, sizes.total) == (1, 8.0)
+        for request, response in zip(requests, responses):
+            expected = self._facade(request)
+            assert response.status == "ok"
+            assert response.result.n_hat == expected.n_hat
+            assert response.result.total_slots == expected.total_slots
+            assert (
+                response.result.per_round_statistics.tolist()
+                == expected.per_round_statistics.tolist()
+            )
 
 
 class TestBackpressure:
