@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..core.accuracy import PHI
 from ..errors import AnalysisError
@@ -75,6 +74,8 @@ def estimate_distribution(
     grid = np.asarray(grid, dtype=np.float64)
     if np.any(grid <= 0):
         raise AnalysisError("estimate grid must be strictly positive")
+    from scipy import stats as sstats
+
     pdf = sstats.lognorm.pdf(grid, s=sigma_log, scale=math.exp(mu_log))
     return grid, pdf
 
@@ -93,6 +94,8 @@ def within_interval_probability(
     sigma_log = moments.std * math.log(2.0) / math.sqrt(rounds)
     lower = math.log((1.0 - epsilon) * n)
     upper = math.log((1.0 + epsilon) * n)
+    from scipy import stats as sstats
+
     normal = sstats.norm(loc=mu_log, scale=sigma_log)
     return float(normal.cdf(upper) - normal.cdf(lower))
 

@@ -44,9 +44,9 @@ The diagnostics flags build on the same registry:
 * ``--progress`` renders a live stderr status line for sweep
   experiments (``fig4``, ``protocols``) with per-cell throughput and
   ETA — parallel sweeps tick it as each worker's cell finishes;
-* ``--profile-out PATH`` attaches the batched-kernel phase profiler
-  (seed_matrix / hash_passes / reduction / finalize) and writes the
-  per-phase wall-time report to PATH as JSON.
+* ``--profile-out PATH`` writes the batched-kernel phase totals
+  (seed_matrix / hash_passes / reduction / finalize), summed from the
+  phase span histograms across every worker, to PATH as JSON.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .obs import (
     EstimatorHealth,
     JsonLinesExporter,
     MetricsRegistry,
-    PhaseProfiler,
     PrometheusExporter,
     RoundTraceRecorder,
     SamplingPolicy,
@@ -70,7 +69,7 @@ from .obs import (
     write_html_report,
     write_trace,
 )
-from .obs.profile import write_phase_json
+from .obs.span import write_phase_json
 from .figures import (
     ablations,
     extensions,
@@ -261,9 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help=(
-            "profile the batched-kernel phases (seed_matrix, "
-            "hash_passes, reduction, finalize) and write per-phase "
-            "wall-time totals to PATH as JSON"
+            "write the batched-kernel phase totals (seed_matrix, "
+            "hash_passes, reduction, finalize), summed from their "
+            "span histograms, to PATH as JSON"
         ),
     )
     parser.add_argument(
@@ -313,30 +312,19 @@ def main(argv: list[str] | None = None) -> int:
     registry = MetricsRegistry()
     recorder = None
     health = None
-    profiler = None
     if diagnostics_on:
         recorder = RoundTraceRecorder(
             policy=SamplingPolicy.parse(args.trace_sample),
             registry=registry,
         )
         health = EstimatorHealth(registry=registry)
-    if args.profile_out is not None:
-        profiler = PhaseProfiler(registry=registry)
-    if diagnostics_on or profiler is not None:
-        registry.attach_diagnostics(
-            round_trace=recorder, health=health, profiler=profiler
-        )
+        registry.attach_diagnostics(round_trace=recorder, health=health)
     with use_registry(registry):
         run_selected()
     if args.profile_out is not None:
-        # The registry holds the merged cross-process phase timings
-        # (worker profilers mirror into profile.*.seconds histograms,
-        # which snapshot/merge carries back); the local profiler only
-        # saw this process.
         write_phase_json(
             args.profile_out,
             registry,
-            profiler=profiler,
             extra={"experiment": args.experiment},
         )
         print(f"phase profile written to {args.profile_out}")

@@ -33,8 +33,9 @@ Cross-process telemetry (parallel sweeps) builds on three pieces:
 * :class:`ProgressTracker` (:mod:`repro.obs.progress`) — live status
   line, ETA, and the ``sweep.progress.*`` gauges, ticked in the parent
   as each worker's cell future completes;
-* :class:`PhaseProfiler` (:mod:`repro.obs.profile`) — named wall-time
-  sampling around the batched-kernel phases.
+* the batched-kernel phases (:data:`KERNEL_PHASES`) — ordinary spans,
+  so their ``span.<path>.seconds`` histograms merge like any other and
+  :func:`~repro.obs.span.write_phase_json` sums them per phase.
 
 See docs/OBSERVABILITY.md for metric names, exporter formats, and how
 to wire a custom exporter.
@@ -61,19 +62,10 @@ from .monitor import (
     monitor_population,
     simulate_monitoring,
 )
-from .profile import (
-    KERNEL_PHASES,
-    NULL_PROFILER,
-    NullPhaseProfiler,
-    PhaseProfiler,
-    active_profiler,
-)
 from .progress import ProgressTracker, default_worker_id
 from .prom import (
     PrometheusExporter,
-    histogram_buckets,
     parse_openmetrics,
-    registry_from_openmetrics,
     render_openmetrics,
     write_openmetrics,
 )
@@ -94,7 +86,7 @@ from .report import (
     write_html_report,
 )
 from .slo import SloTracker, merge_slo_gauges, publish_shard_slo
-from .span import NullSpan, Span, SpanRecord
+from .span import KERNEL_PHASES, NullSpan, Span, SpanRecord
 from .tracectx import (
     TraceContext,
     current_trace,
@@ -156,14 +148,10 @@ __all__ = [
     "iter_records",
     "decode_value",
     "snapshot_record",
-    # cross-process progress + profiling
+    # cross-process progress + kernel phases
     "ProgressTracker",
     "default_worker_id",
     "KERNEL_PHASES",
-    "PhaseProfiler",
-    "NullPhaseProfiler",
-    "NULL_PROFILER",
-    "active_profiler",
     # trace / replay
     "DEFAULT_TAIL_THRESHOLD",
     "DEFAULT_TRACE_CAPACITY",
@@ -192,8 +180,6 @@ __all__ = [
     "render_openmetrics",
     "write_openmetrics",
     "parse_openmetrics",
-    "registry_from_openmetrics",
-    "histogram_buckets",
     "render_text_report",
     "render_html_report",
     "write_html_report",

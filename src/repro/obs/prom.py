@@ -25,11 +25,7 @@ the OpenMetrics ``# {trace_id="..."} value timestamp`` suffix on a
 this module emits — enough for tests (and smoke checks) to assert that
 ``--prom-out`` files are well-formed and carry the expected samples.
 It understands the exemplar suffix (pass ``with_exemplars=True`` for
-them).  :func:`histogram_buckets` inverts the cumulative ``_bucket``
-samples back onto the registry's bucket array, and
-:func:`registry_from_openmetrics` rebuilds a whole registry from parsed
-output, so exporter output round-trips: parse → export → parse is the
-identity on the emitted text.
+them).
 """
 
 from __future__ import annotations
@@ -322,127 +318,3 @@ def _sample_declared(
                 return True
     return False
 
-
-_LE_VALUE = re.compile(r'le="([^"]+)"')
-
-
-def histogram_buckets(
-    samples: Mapping[str, float], metric: str
-) -> list[int]:
-    """Reconstruct a histogram's bucket array from parsed samples.
-
-    Inverts the cumulative ``<metric>_bucket{le="..."}`` samples of
-    :func:`render_openmetrics` back onto the registry's fixed log2
-    bucket grid (:func:`repro.obs.metrics.bucket_upper_bounds`), so the
-    result is elementwise-addable with other parsed or live bucket
-    arrays — the same merge the registry itself performs.
-    """
-    bounds = bucket_upper_bounds()
-    index_of = {bound: index for index, bound in enumerate(bounds)}
-    prefix = f"{metric}_bucket{{"
-    entries: list[tuple[float, float]] = []
-    for sample_name, value in samples.items():
-        if not sample_name.startswith(prefix):
-            continue
-        match = _LE_VALUE.search(sample_name[len(prefix) - 1 :])
-        if match is None:
-            raise ConfigurationError(
-                f"bucket sample {sample_name!r} has no le label"
-            )
-        token = match.group(1)
-        upper = math.inf if token == "+Inf" else float(token)
-        entries.append((upper, value))
-    entries.sort()
-    buckets = [0] * BUCKET_COUNT
-    previous = 0.0
-    for upper, cumulative in entries:
-        index = index_of.get(upper)
-        if index is None:
-            raise ConfigurationError(
-                f"bucket bound {upper!r} is not on the registry grid"
-            )
-        buckets[index] = int(cumulative - previous)
-        previous = cumulative
-    return buckets
-
-
-def registry_from_openmetrics(
-    text: str, prefix: str = METRIC_PREFIX
-) -> MetricsRegistry:
-    """Rebuild a :class:`MetricsRegistry` from exporter output.
-
-    The inverse of :func:`render_openmetrics` up to what the text
-    format carries: counters, gauges, histogram buckets / count / sum /
-    extrema, and bucket exemplars all round-trip (``sum_squares`` is
-    not exported, so reconstructed ``std`` is meaningless).  Derived
-    ``_min`` / ``_max`` / ``_mean`` gauges fold back into their
-    histogram instead of becoming standalone gauges.  Metric names keep
-    their sanitized (underscored) form minus ``prefix`` — re-rendering
-    the result parses back to the identical samples, types, and
-    exemplars.
-    """
-    samples, types, exemplars = parse_openmetrics(
-        text, with_exemplars=True
-    )
-    registry = MetricsRegistry()
-    histogram_names = {
-        metric for metric, kind in types.items()
-        if kind == "histogram"
-    }
-    derived = {
-        f"{metric}_{suffix}"
-        for metric in histogram_names
-        for suffix in ("min", "max", "mean")
-    }
-
-    def _registry_name(metric: str) -> str:
-        if prefix and metric.startswith(prefix):
-            return metric[len(prefix):]
-        return metric
-
-    for metric, kind in types.items():
-        if kind == "counter":
-            total = samples.get(f"{metric}_total")
-            if total is not None:
-                registry.counter(_registry_name(metric)).value = total
-        elif kind == "gauge":
-            if metric in derived:
-                continue
-            value = samples.get(metric)
-            if value is not None:
-                gauge = registry.gauge(_registry_name(metric))
-                gauge.value = float(value)
-        elif kind == "histogram":
-            histogram = registry.histogram(_registry_name(metric))
-            histogram.buckets = histogram_buckets(samples, metric)
-            histogram.count = int(samples.get(f"{metric}_count", 0))
-            histogram.total = float(samples.get(f"{metric}_sum", 0.0))
-            if f"{metric}_min" in samples:
-                histogram.min = samples[f"{metric}_min"]
-            if f"{metric}_max" in samples:
-                histogram.max = samples[f"{metric}_max"]
-            bounds = bucket_upper_bounds()
-            index_of = {bound: i for i, bound in enumerate(bounds)}
-            bucket_prefix = f"{metric}_bucket{{"
-            for sample_name, exemplar in exemplars.items():
-                if not sample_name.startswith(bucket_prefix):
-                    continue
-                match = _LE_VALUE.search(sample_name)
-                if match is None:
-                    continue
-                token = match.group(1)
-                upper = math.inf if token == "+Inf" else float(token)
-                index = index_of.get(upper)
-                if index is None:
-                    raise ConfigurationError(
-                        f"exemplar bound {token!r} is not on the grid"
-                    )
-                trace_id, value, ts = exemplar
-                if histogram.exemplars is None:
-                    histogram.exemplars = {}
-                histogram.exemplars[index] = (
-                    trace_id,
-                    value,
-                    ts if ts is not None else 0.0,
-                )
-    return registry

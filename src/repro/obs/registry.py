@@ -329,10 +329,6 @@ class MetricsRegistry:
         #: uninstrumented fast path is unaffected.
         self.round_trace: object | None = None
         self.health: object | None = None
-        #: Optional :class:`~repro.obs.profile.PhaseProfiler`; batched
-        #: kernels wrap their phases with it when attached (the shared
-        #: no-op profiler otherwise).
-        self.profiler: object | None = None
         #: Optional :class:`~repro.obs.slo.SloTracker`; the serve tier
         #: attaches one so every answered request feeds the windowed
         #: error-budget burn-rate gauges.
@@ -347,12 +343,11 @@ class MetricsRegistry:
         self,
         round_trace: object | None = None,
         health: object | None = None,
-        profiler: object | None = None,
         slo: object | None = None,
         fleet: object | None = None,
     ) -> "MetricsRegistry":
-        """Attach a round-trace recorder, health monitor, profiler,
-        SLO tracker, or fleet-status view.
+        """Attach a round-trace recorder, health monitor, SLO tracker,
+        or fleet-status view.
 
         Returns ``self`` so construction chains:
         ``MetricsRegistry().attach_diagnostics(recorder, health)``.
@@ -361,8 +356,6 @@ class MetricsRegistry:
             self.round_trace = round_trace
         if health is not None:
             self.health = health
-        if profiler is not None:
-            self.profiler = profiler
         if slo is not None:
             self.slo = slo
         if fleet is not None:
@@ -619,7 +612,6 @@ class NullRegistry(MetricsRegistry):
         self,
         round_trace: object | None = None,  # noqa: ARG002
         health: object | None = None,  # noqa: ARG002
-        profiler: object | None = None,  # noqa: ARG002
         slo: object | None = None,  # noqa: ARG002
         fleet: object | None = None,  # noqa: ARG002
     ) -> "MetricsRegistry":

@@ -18,15 +18,37 @@ The trace is bounded (:attr:`repro.obs.registry.MetricsRegistry.max_trace`);
 once full, further records are dropped and counted in the
 ``obs.spans.dropped`` counter rather than growing without limit —
 per-round spans in a million-round run must not become the new hot path.
+
+The batched engines open one span per :data:`KERNEL_PHASES` entry per
+cell, so "where did a cell's time go" is read from the same
+``span.<path>.seconds`` histograms as every other timing;
+:func:`write_phase_json` sums them per phase (the CLI's
+``--profile-out``).
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from types import TracebackType
+from typing import TYPE_CHECKING
 
 from .tracectx import current_trace, reset_trace_context, set_trace_context
+
+if TYPE_CHECKING:
+    from .registry import MetricsRegistry
+
+#: The batched-kernel phases, in pipeline order: the reader's path and
+#: seed draws, the tags' hashing and answers, the per-repetition
+#: reductions (slot counts, histograms, traces), and the Eq. 14
+#: inversions that turn statistics into ``n_hat``.
+KERNEL_PHASES = (
+    "seed_matrix",
+    "hash_passes",
+    "reduction",
+    "finalize",
+)
 
 
 @dataclass(frozen=True)
@@ -154,3 +176,44 @@ class NullSpan:
 
 #: Shared no-op span instance (spans carry no per-use state when null).
 NULL_SPAN = NullSpan()
+
+
+def write_phase_json(
+    path: str,
+    registry: "MetricsRegistry",
+    extra: "dict[str, object] | None" = None,
+) -> None:
+    """Write per-phase wall-time totals to ``path`` as JSON.
+
+    Sums every ``span.<path>.seconds`` histogram whose last path segment
+    names a :data:`KERNEL_PHASES` entry, whatever spans enclose it
+    (``cell``, ``sweep.cell``, ``grid``).  Worker registries merge into
+    the parent's, so after a parallel sweep this is the cross-process
+    total.
+    """
+    phases: dict[str, list[float]] = {}
+    for name, stats in registry.snapshot()["histograms"].items():
+        if not (name.startswith("span.") and name.endswith(".seconds")):
+            continue
+        phase = name[: -len(".seconds")].rsplit(".", 1)[-1]
+        if phase in KERNEL_PHASES:
+            row = phases.setdefault(phase, [0.0, 0])
+            row[0] += float(stats["total"])
+            row[1] += int(stats["count"])
+    total = sum(seconds for seconds, _ in phases.values())
+    payload: dict[str, object] = {
+        "total_seconds": round(total, 6),
+        "phases": {
+            phase: {
+                "seconds": round(seconds, 6),
+                "calls": int(calls),
+                "fraction": round(seconds / total, 4) if total > 0 else 0.0,
+            }
+            for phase, (seconds, calls) in sorted(phases.items())
+        },
+    }
+    if extra:
+        payload.update(extra)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")

@@ -54,7 +54,6 @@ from ..core.search import (
 from ..errors import ConfigurationError
 from ..hashing.family import HashFamily
 from ..hashing.geometric import leading_zeros64_vec
-from ..obs.profile import active_profiler
 from ..obs.registry import MetricsRegistry, get_registry
 from .backends import active_backend
 from .experiment import RepeatedEstimate
@@ -193,7 +192,14 @@ class BatchedExperimentEngine:
         config: PetConfig,
         rounds: int,
     ) -> RepeatedEstimate:
-        """Compute one full experiment cell (all repetitions x rounds)."""
+        """Compute one full experiment cell (all repetitions x rounds).
+
+        Phase-major: each :data:`~repro.obs.span.KERNEL_PHASES` span
+        covers every repetition, so a cell records four phase spans at
+        any repetition count.  The reduction walks the repetitions in
+        order, which keeps the depth histogram, round-trace records and
+        health observations in the reference loop's order.
+        """
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
         height = config.tree_height
@@ -204,94 +210,57 @@ class BatchedExperimentEngine:
         strategy = strategy_for(config.binary_search)
         slots_table = slots_lookup_table(strategy, height)
         registry = self.registry
-        profiler = active_profiler(registry)
         recorder = registry.round_trace if registry else None
         health = registry.health if registry else None
-        if registry:
-            busy_table, idle_table = slot_outcome_tables(
-                strategy, height
-            )
-            depth_histogram = registry.histogram("pet.gray_depth")
-            busy_slots = 0
-            idle_slots = 0
         start = time.perf_counter()
         with registry.span(
             "cell", tier="batched", n=spec.size, rounds=rounds
         ):
-            children = np.random.SeedSequence(self.base_seed).spawn(
-                self.repetitions
-            )
-            words_per_round = 1 if config.passive_tags else 2
-            estimates = np.empty(self.repetitions)
-            total_slots = 0
-            for index, child in enumerate(children):
-                with profiler.phase("seed_matrix"):
-                    rng = np.random.default_rng(child)
-                    # One array draw reproduces the reference loop's
-                    # per-round scalar draws: path word (then seed word,
-                    # active variant) in round order — see
-                    # EstimatingPath.random.
-                    words = rng.integers(
-                        0,
-                        2**64,
-                        size=(rounds, words_per_round),
-                        dtype=np.uint64,
+            words, depths = self._depth_matrix(spec, config, rounds)
+            with registry.span("finalize"):
+                estimates = np.array(
+                    [estimate_from_depths(row) for row in depths]
+                )
+            with registry.span("reduction"):
+                # Slot totals from one depth histogram: every table is
+                # per depth, and integer dot products are exact.
+                depth_counts = np.bincount(
+                    depths.ravel(), minlength=slots_table.size
+                )
+                total_slots = int(depth_counts @ slots_table)
+                if registry:
+                    busy_table, idle_table = slot_outcome_tables(
+                        strategy, height
                     )
-                    path_bits = words[:, 0] >> np.uint64(64 - height)
-                with profiler.phase("hash_passes"):
-                    population = build_population(
-                        WorkloadSpec(
-                            size=spec.size,
-                            id_space=spec.id_space,
-                            seed=spec.seed + index,
-                        )
-                    )
-                    if config.passive_tags:
-                        codes = np.sort(
-                            population.preloaded_codes(height)
-                        )
-                        depths = batched_gray_depths_sorted(
-                            codes, path_bits, height
-                        )
-                    else:
-                        # integers(0, 2**63) is a one-word Lemire draw:
-                        # word >> 1.
-                        seeds = words[:, 1] >> np.uint64(1)
-                        depths = batched_gray_depths_fresh(
-                            population.tag_ids,
-                            seeds,
-                            path_bits,
-                            height,
-                            population.family,
-                        )
-                with profiler.phase("finalize"):
-                    estimates[index] = estimate_from_depths(depths)
-                with profiler.phase("reduction"):
-                    total_slots += int(slots_table[depths].sum())
-                    if registry:
-                        busy_slots += int(busy_table[depths].sum())
-                        idle_slots += int(idle_table[depths].sum())
-                        depth_histogram.observe_many(depths)
-                    if recorder is not None:
-                        recorder.record_population_run(
-                            tier="batched",
-                            run_index=index,
-                            depths=depths,
-                            path_bits=path_bits,
-                            round_seeds=(
-                                None if config.passive_tags else seeds
-                            ),
-                            population_size=spec.size,
-                            population_id_space=spec.id_space,
-                            population_seed=spec.seed + index,
-                            tree_height=height,
-                            binary_search=config.binary_search,
-                            slots_table=slots_table,
-                            busy_table=busy_table,
-                            idle_table=idle_table,
-                        )
-                    if health is not None:
-                        health.observe_depths(depths)
+                    busy_slots = int(depth_counts @ busy_table)
+                    idle_slots = int(depth_counts @ idle_table)
+                    depth_histogram = registry.histogram("pet.gray_depth")
+                    for index, row in enumerate(depths):
+                        depth_histogram.observe_many(row)
+                        if recorder is not None:
+                            recorder.record_population_run(
+                                tier="batched",
+                                run_index=index,
+                                depths=row,
+                                path_bits=words[index, :, 0]
+                                >> np.uint64(64 - height),
+                                round_seeds=(
+                                    None
+                                    if config.passive_tags
+                                    else words[index, :, 1]
+                                    >> np.uint64(1)
+                                ),
+                                population_size=spec.size,
+                                population_id_space=spec.id_space,
+                                population_seed=spec.seed + index,
+                                tree_height=height,
+                                binary_search=config.binary_search,
+                                slots_table=slots_table,
+                                busy_table=busy_table,
+                                idle_table=idle_table,
+                            )
+                        if health is not None:
+                            health.observe_depths(row)
         seconds = time.perf_counter() - start
         repeated = RepeatedEstimate(
             true_n=spec.size,
@@ -406,9 +375,7 @@ class BatchedExperimentEngine:
             workers=workers or 1,
         ):
             if workers is None or workers <= 1:
-                depths = self._grid_depths_serial(
-                    spec, config, max_rounds
-                )
+                _, depths = self._depth_matrix(spec, config, max_rounds)
             else:
                 depths = self._grid_depths_parallel(
                     spec, config, max_rounds, workers
@@ -437,37 +404,51 @@ class BatchedExperimentEngine:
             )
         return results
 
-    def _grid_words(self, max_rounds: int, words_per_round: int):
-        """Yield ``(index, words)`` per repetition — the widest draw."""
+    def _draw_words(self, out: np.ndarray) -> np.ndarray:
+        """Fill the ``(repetitions, rounds, words_per_round)`` word tensor.
+
+        Row ``i`` is one full-range ``uint64`` draw from child ``i`` of
+        ``SeedSequence(base_seed)``: path word (then seed word, active
+        variant) in round order, which reproduces the reference loop's
+        per-round scalar draws (see
+        :meth:`~repro.core.path.EstimatingPath.random`).  C-order
+        full-range draws consume the stream identically at any width,
+        so a narrower cell's rows are the round prefix of a wider
+        cell's.  Returns ``out``.
+        """
+        _, rounds, words_per_round = out.shape
         children = np.random.SeedSequence(self.base_seed).spawn(
             self.repetitions
         )
         for index, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            yield index, rng.integers(
+            out[index] = np.random.default_rng(child).integers(
                 0,
                 2**64,
-                size=(max_rounds, words_per_round),
+                size=(rounds, words_per_round),
                 dtype=np.uint64,
             )
+        return out
 
-    def _grid_depths_serial(
-        self, spec: WorkloadSpec, config: PetConfig, max_rounds: int
-    ) -> np.ndarray:
-        """The ``(repetitions, max_rounds)`` depth matrix, in-process."""
-        words_per_round = 1 if config.passive_tags else 2
-        depths = np.empty(
-            (self.repetitions, max_rounds), dtype=np.int64
-        )
-        profiler = active_profiler(self.registry)
-        for index, words in self._grid_words(
-            max_rounds, words_per_round
-        ):
-            with profiler.phase("hash_passes"):
-                depths[index] = _grid_repetition_depths(
-                    spec, config, words, index
+    def _depth_matrix(
+        self, spec: WorkloadSpec, config: PetConfig, rounds: int
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The seed-matrix and hash-pass phases, in-process.
+
+        Returns the word tensor and the ``(repetitions, rounds)`` gray
+        depth matrix.
+        """
+        registry = self.registry
+        with registry.span("seed_matrix"):
+            words = self._draw_words(
+                np.empty(
+                    (self.repetitions, rounds, _words_per_round(config)),
+                    dtype=np.uint64,
                 )
-        return depths
+            )
+        with registry.span("hash_passes"):
+            depths = np.empty((self.repetitions, rounds), dtype=np.int64)
+            _fill_depths(spec, config, words, depths, 0, self.repetitions)
+        return words, depths
 
     def _grid_depths_parallel(
         self,
@@ -478,41 +459,32 @@ class BatchedExperimentEngine:
     ) -> np.ndarray:
         """The depth matrix via worker shards over shared memory.
 
-        The parent derives the full word tensor once (seed discipline
-        stays parent-side), shares it read-only, and shares a writable
-        depth matrix that workers fill in disjoint repetition shards —
-        both segments are cleaned up even when a worker dies
-        mid-shard.
+        The parent draws the full word tensor straight into a shared
+        segment (seed discipline stays parent-side), and workers fill
+        disjoint repetition shards of a shared depth matrix — both
+        segments are cleaned up even when a worker dies mid-shard.
         """
         from .experiment import _run_pool
         from .shm import SharedArray
 
-        words_per_round = 1 if config.passive_tags else 2
         registry = self.registry
-        profiler = active_profiler(registry)
-        with profiler.phase("seed_matrix"):
-            words_all = np.empty(
-                (self.repetitions, max_rounds, words_per_round),
-                dtype=np.uint64,
-            )
-            for index, words in self._grid_words(
-                max_rounds, words_per_round
-            ):
-                words_all[index] = words
         words_segment = None
         depths_segment = None
         try:
-            words_segment = SharedArray.create(
-                words_all, registry=registry
-            )
-            del words_all
+            with registry.span("seed_matrix"):
+                words_segment = SharedArray.zeros(
+                    (self.repetitions, max_rounds, _words_per_round(config)),
+                    np.uint64,
+                    registry=registry,
+                )
+                self._draw_words(words_segment.array)
             depths_segment = SharedArray.zeros(
                 (self.repetitions, max_rounds),
                 np.int64,
                 registry=registry,
             )
             shards = _shard_ranges(self.repetitions, workers)
-            with profiler.phase("hash_passes"):
+            with registry.span("hash_passes"):
                 _run_pool(
                     workers,
                     [
@@ -547,7 +519,6 @@ class BatchedExperimentEngine:
     ) -> "list[RepeatedEstimate]":
         """Reduce the shared depth matrix into one result per grid cell."""
         registry = self.registry
-        profiler = active_profiler(registry)
         health = registry.health if registry else None
         if registry:
             busy_table, idle_table = slot_outcome_tables(
@@ -559,7 +530,7 @@ class BatchedExperimentEngine:
         slot_cumulative = slots_table[depths].cumsum(axis=1)
         results = []
         for rounds in grid:
-            with profiler.phase("finalize"):
+            with registry.span("finalize"):
                 cell_depths = depths[:, :rounds]
                 estimates = np.array(
                     [
@@ -576,7 +547,7 @@ class BatchedExperimentEngine:
                 estimates=estimates,
                 slots_per_run=total_slots / self.repetitions,
             )
-            with profiler.phase("reduction"):
+            with registry.span("reduction"):
                 if registry:
                     rounds_done = rounds * self.repetitions
                     registry.counter("experiment.cells").inc()
@@ -629,17 +600,21 @@ def _shard_ranges(
     return ranges
 
 
-def _grid_repetition_depths(
+def _words_per_round(config: PetConfig) -> int:
+    """Path word, plus a seed word when tags rehash per round."""
+    return 1 if config.passive_tags else 2
+
+
+def _repetition_depths(
     spec: WorkloadSpec,
     config: PetConfig,
     words: np.ndarray,
     index: int,
 ) -> np.ndarray:
-    """Gray depths of one repetition's rounds (the run_cell inner body).
+    """Gray depths of one repetition's rounds.
 
     ``words`` is the repetition's ``(rounds, words_per_round)`` word
-    draw; the population resampling (``spec.seed + index``) matches
-    :meth:`BatchedExperimentEngine.run_cell` exactly.
+    draw; the population is resampled from ``spec.seed + index``.
     """
     height = config.tree_height
     path_bits = words[:, 0] >> np.uint64(64 - height)
@@ -653,6 +628,7 @@ def _grid_repetition_depths(
     if config.passive_tags:
         codes = np.sort(population.preloaded_codes(height))
         return batched_gray_depths_sorted(codes, path_bits, height)
+    # integers(0, 2**63) is a one-word Lemire draw: word >> 1.
     seeds = words[:, 1] >> np.uint64(1)
     return batched_gray_depths_fresh(
         population.tag_ids,
@@ -661,6 +637,21 @@ def _grid_repetition_depths(
         height,
         population.family,
     )
+
+
+def _fill_depths(
+    spec: WorkloadSpec,
+    config: PetConfig,
+    words: np.ndarray,
+    depths: np.ndarray,
+    start: int,
+    stop: int,
+) -> None:
+    """Write depth rows ``start:stop`` from the matching word rows."""
+    for index in range(start, stop):
+        depths[index] = _repetition_depths(
+            spec, config, words[index], index
+        )
 
 
 def _grid_depths_worker(
@@ -688,12 +679,14 @@ def _grid_depths_worker(
             depths_spec, registry=NULL_REGISTRY
         )
         try:
-            words = words_segment.array
-            depths = depths_segment.array
-            for index in range(start, stop):
-                depths[index] = _grid_repetition_depths(
-                    spec, config, words[index], index
-                )
+            _fill_depths(
+                spec,
+                config,
+                words_segment.array,
+                depths_segment.array,
+                start,
+                stop,
+            )
         finally:
             depths_segment.close()
     finally:

@@ -18,7 +18,6 @@ import numpy as np
 from ..analysis.stats import SeriesSummary, summarize
 from ..config import PAPER_RUNS_PER_POINT, PetConfig
 from ..errors import ConfigurationError
-from ..obs.profile import active_profiler
 from ..obs.progress import ProgressTracker, default_worker_id
 from ..obs.registry import (
     NULL_REGISTRY,
@@ -137,22 +136,22 @@ class ExperimentRunner:
         full runs, at a fraction of the cost.
         """
         start = time.perf_counter()
-        profiler = active_profiler(self.registry)
-        with self.registry.span("cell", tier="sampled", n=n):
-            with profiler.phase("seed_matrix"):
+        registry = self.registry
+        with registry.span("cell", tier="sampled", n=n):
+            with registry.span("seed_matrix"):
                 rng = np.random.default_rng(
                     np.random.SeedSequence((self.base_seed, n, rounds))
                 )
                 simulator = SampledSimulator(
-                    n, config=config, rng=rng, registry=self.registry
+                    n, config=config, rng=rng, registry=registry
                 )
-            with profiler.phase("hash_passes"):
+            with registry.span("hash_passes"):
                 estimates = simulator.estimate_batch(
                     rounds, self.repetitions
                 )
             # One representative run for slot accounting (slot counts are
             # almost surely constant for binary search, d+1 for linear).
-            with profiler.phase("reduction"):
+            with registry.span("reduction"):
                 result = simulator.estimate(rounds=rounds)
         repeated = RepeatedEstimate(
             true_n=n,
@@ -300,14 +299,11 @@ class ExperimentRunner:
         specs: "Sequence[ProtocolCellSpec]",
         workers: int | None = None,
         on_error: str = "nan",
-        share_seeds: bool = False,
     ) -> "list[ProtocolCellResult]":
         """Batched comparison-cell sweep (table-3 style drivers).
 
         Same worker semantics as :meth:`sweep`: results are bit-for-bit
-        identical for any ``workers`` count.  ``share_seeds`` derives
-        one wide seed matrix that every cell prefix-slices (zero-copy
-        shared memory under a worker pool); see
+        identical for any ``workers`` count; see
         :func:`~repro.sim.protocol_batched.sweep_protocol_cells`.
         """
         from .protocol_batched import sweep_protocol_cells
@@ -319,7 +315,6 @@ class ExperimentRunner:
             workers=workers,
             registry=self.registry,
             on_error=on_error,
-            share_seeds=share_seeds,
         )
 
     def sweep_rounds(
@@ -427,7 +422,6 @@ class ExperimentRunner:
                             config,
                             rounds,
                             bool(self.registry),
-                            self.registry.profiler is not None,
                             sweep_trace.child().to_dict()
                             if sweep_trace is not None
                             else None,
@@ -506,28 +500,19 @@ def _sweep_cell(
     config: PetConfig,
     rounds: int,
     collect: bool = False,
-    profile: bool = False,
     trace_context: "dict | None" = None,
 ) -> "tuple[RepeatedEstimate, RegistrySnapshot | None]":
     """Worker-process entry: one sweep cell (module-level, picklable).
 
     Returns the cell result plus, when ``collect`` is set, a snapshot
     of everything the worker's private registry recorded — the parent
-    merges it so no worker-side telemetry is lost.  ``profile``
-    mirrors the parent having a profiler attached: the worker's phase
-    timings land in ``profile.*.seconds`` histograms, which merge up.
-    ``trace_context`` is the parent-derived
+    merges it so no worker-side telemetry is lost, phase spans
+    included.  ``trace_context`` is the parent-derived
     :meth:`~repro.obs.tracectx.TraceContext.to_dict` for this cell;
     installing it makes the worker's spans children of the parent's
     live ``sweep`` span (ids ride back inside the snapshot).
     """
     registry = MetricsRegistry() if collect else NULL_REGISTRY
-    if profile and collect:
-        from ..obs.profile import PhaseProfiler
-
-        registry.attach_diagnostics(
-            profiler=PhaseProfiler(registry=registry)
-        )
     runner = ExperimentRunner(
         base_seed=base_seed, repetitions=repetitions, registry=registry
     )

@@ -37,7 +37,6 @@ import numpy as np
 from ..analysis.stats import SeriesSummary, summarize
 from ..config import PAPER_RUNS_PER_POINT
 from ..errors import ConfigurationError, EstimationError
-from ..obs.profile import active_profiler
 from ..obs.registry import MetricsRegistry, get_registry
 from ..protocols.base import (
     BatchedRoundEngine,
@@ -166,7 +165,6 @@ def run_protocol_cell(
     base_seed: int = 2011,
     registry: MetricsRegistry | None = None,
     on_error: str = "raise",
-    seeds: np.ndarray | None = None,
 ) -> ProtocolCellResult:
     """Run one whole comparison cell through the protocol's engine.
 
@@ -179,12 +177,6 @@ def run_protocol_cell(
     scalar loop would, ``"nan"`` flags the repetition's estimate as
     ``NaN`` and counts it in ``saturated_runs`` so one saturated run
     cannot abort a whole figure.
-
-    ``seeds`` optionally supplies the seed matrix (or a prefix slice of
-    a wider shared one — see :func:`sweep_protocol_cells`'s
-    ``share_seeds``) instead of re-deriving it; it must be exactly what
-    :func:`seed_matrix` would return, which the word-stream prefix
-    property guarantees for column slices of a max-draws matrix.
     """
     if rounds < 1:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
@@ -200,7 +192,6 @@ def run_protocol_cell(
         )
     if registry is None:
         registry = get_registry()
-    profiler = active_profiler(registry)
     start = time.perf_counter()
     with registry.span(
         "cell",
@@ -208,18 +199,13 @@ def run_protocol_cell(
         protocol=protocol.name,
         n=population.size,
     ):
-        with profiler.phase("seed_matrix"):
-            draws = rounds * engine.draws_per_round
-            if seeds is None:
-                seeds = seed_matrix(base_seed, repetitions, draws)
-            elif seeds.shape != (repetitions, draws):
-                raise ConfigurationError(
-                    f"supplied seed matrix has shape {seeds.shape}, "
-                    f"cell needs {(repetitions, draws)}"
-                )
-        with profiler.phase("hash_passes"):
+        with registry.span("seed_matrix"):
+            seeds = seed_matrix(
+                base_seed, repetitions, rounds * engine.draws_per_round
+            )
+        with registry.span("hash_passes"):
             statistics = _chunked_statistics(engine, seeds, population)
-        with profiler.phase("finalize"):
+        with registry.span("finalize"):
             estimates = np.empty(repetitions)
             saturated = 0
             for index in range(repetitions):
@@ -232,17 +218,17 @@ def run_protocol_cell(
                         raise
                     estimates[index] = np.nan
                     saturated += 1
-    result = ProtocolCellResult(
-        protocol=protocol.name,
-        true_n=population.size,
-        rounds=rounds,
-        estimates=estimates,
-        statistics=statistics,
-        slots_per_run=rounds * protocol.slots_per_round(),
-        saturated_runs=saturated,
-        seed_provenance=f"base_seed={base_seed}",
-    )
-    _observe_cell(registry, result, time.perf_counter() - start)
+        result = ProtocolCellResult(
+            protocol=protocol.name,
+            true_n=population.size,
+            rounds=rounds,
+            estimates=estimates,
+            statistics=statistics,
+            slots_per_run=rounds * protocol.slots_per_round(),
+            saturated_runs=saturated,
+            seed_provenance=f"base_seed={base_seed}",
+        )
+        _observe_cell(registry, result, time.perf_counter() - start)
     return result
 
 
@@ -282,7 +268,7 @@ def _observe_cell(
         return
     prefix = f"protocol.{result.protocol}"
     repetitions = result.repetitions
-    with active_profiler(registry).phase("reduction"):
+    with registry.span("reduction"):
         registry.counter(f"{prefix}.runs").inc(repetitions)
         registry.counter(f"{prefix}.rounds").inc(
             repetitions * result.rounds
@@ -356,20 +342,6 @@ class ProtocolCellSpec:
         return protocol, population
 
 
-def _cell_draws(spec: ProtocolCellSpec) -> int:
-    """Seed draws one cell consumes (without building its population)."""
-    from ..protocols.registry import make_protocol
-
-    protocol = make_protocol(spec.protocol, **spec.config)
-    engine = protocol.batched_engine()
-    if engine is None:
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} has no batched engine; use "
-            f"the scalar estimate path"
-        )
-    return spec.rounds * engine.draws_per_round
-
-
 def sweep_protocol_cells(
     specs: Sequence[ProtocolCellSpec],
     repetitions: int = PAPER_RUNS_PER_POINT,
@@ -378,7 +350,6 @@ def sweep_protocol_cells(
     registry: MetricsRegistry | None = None,
     on_error: str = "nan",
     progress: object = None,
-    share_seeds: bool = False,
 ) -> list[ProtocolCellResult]:
     """Run many comparison cells, optionally process-parallel.
 
@@ -392,15 +363,6 @@ def sweep_protocol_cells(
     :meth:`ExperimentRunner.sweep`, which also documents the
     ``progress`` argument (``True`` for a stderr status line, or a
     :class:`~repro.obs.progress.ProgressTracker`).
-
-    ``share_seeds`` derives one seed matrix wide enough for the widest
-    cell and lets every cell slice its prefix — bit-identical to
-    per-cell derivation because full-range ``uint64`` draws are
-    stream-prefix-stable (pinned by the seed-discipline tests).  With a
-    worker pool the matrix travels as a zero-copy
-    :class:`~repro.sim.shm.SharedArray` segment instead of being
-    re-derived (or pickled) per cell; serial sweeps slice a plain
-    in-process array and never touch shared memory.
     """
     from .experiment import _make_tracker, _run_pool
 
@@ -420,9 +382,6 @@ def sweep_protocol_cells(
                 rounds=spec.rounds * repetitions,
             )
 
-    draws_by_spec = (
-        [_cell_draws(spec) for spec in specs] if share_seeds else None
-    )
     start = time.perf_counter()
     with registry.span(
         "sweep",
@@ -431,20 +390,8 @@ def sweep_protocol_cells(
         workers=workers or 1,
     ):
         if workers is None or workers == 1:
-            shared_seeds = None
-            if draws_by_spec is not None and specs:
-                # Serial share path: one plain in-process matrix, no
-                # shared-memory segment (asserted by lifecycle tests).
-                shared_seeds = seed_matrix(
-                    base_seed, repetitions, max(draws_by_spec)
-                )
             results = []
-            for index, spec in enumerate(specs):
-                seeds = (
-                    shared_seeds[:, : draws_by_spec[index]]
-                    if shared_seeds is not None
-                    else None
-                )
+            for spec in specs:
                 result = run_protocol_cell(
                     *spec.build(),
                     rounds=spec.rounds,
@@ -452,54 +399,33 @@ def sweep_protocol_cells(
                     base_seed=base_seed,
                     registry=registry,
                     on_error=on_error,
-                    seeds=seeds,
                 )
                 tick(spec, result)
                 results.append(result)
         else:
-            segment = None
-            if draws_by_spec is not None and specs:
-                from .shm import SharedArray
+            # Per-cell child contexts keep worker spans inside the live
+            # trace (see ExperimentRunner.sweep).
+            from ..obs.tracectx import current_trace
 
-                segment = SharedArray.create(
-                    seed_matrix(
-                        base_seed, repetitions, max(draws_by_spec)
-                    ),
-                    registry=registry,
-                )
-            try:
-                # Per-cell child contexts keep worker spans inside
-                # the live trace (see ExperimentRunner.sweep).
-                from ..obs.tracectx import current_trace
-
-                sweep_trace = current_trace()
-                pairs = _run_pool(
-                    workers,
-                    [
-                        (
-                            _sweep_protocol_cell,
-                            spec,
-                            repetitions,
-                            base_seed,
-                            on_error,
-                            bool(registry),
-                            registry.profiler is not None,
-                            segment.spec if segment else None,
-                            draws_by_spec[index]
-                            if draws_by_spec is not None
-                            else 0,
-                            sweep_trace.child().to_dict()
-                            if sweep_trace is not None
-                            else None,
-                        )
-                        for index, spec in enumerate(specs)
-                    ],
-                    lambda index, pair: tick(specs[index], pair[0]),
-                )
-            finally:
-                if segment is not None:
-                    segment.close()
-                    segment.unlink(registry=registry)
+            sweep_trace = current_trace()
+            pairs = _run_pool(
+                workers,
+                [
+                    (
+                        _sweep_protocol_cell,
+                        spec,
+                        repetitions,
+                        base_seed,
+                        on_error,
+                        bool(registry),
+                        sweep_trace.child().to_dict()
+                        if sweep_trace is not None
+                        else None,
+                    )
+                    for spec in specs
+                ],
+                lambda index, pair: tick(specs[index], pair[0]),
+            )
             results = []
             for result, snapshot in pairs:
                 if snapshot is not None:
@@ -531,22 +457,14 @@ def _sweep_protocol_cell(
     base_seed: int,
     on_error: str,
     collect: bool = False,
-    profile: bool = False,
-    seeds_spec: object = None,
-    draws: int = 0,
     trace_context: "dict | None" = None,
 ) -> tuple[ProtocolCellResult, object]:
     """Worker-process entry: one sweep cell (module-level, picklable).
 
     Returns the cell result plus, when ``collect`` is set, a snapshot
     of everything the worker's private registry recorded — the parent
-    merges it so no worker-side telemetry is lost.  ``profile``
-    mirrors the parent having a profiler attached: the worker's phase
-    timings land in ``profile.*.seconds`` histograms, which merge up.
-    ``seeds_spec`` optionally names a parent-owned shared-memory seed
-    matrix; the worker attaches, slices this cell's ``draws``-column
-    prefix, and detaches — it never copies or unlinks the segment.
-    ``trace_context`` is the parent-derived trace position for this
+    merges it so no worker-side telemetry is lost, phase spans
+    included.  ``trace_context`` is the parent-derived trace position for this
     cell; installing it makes worker spans children of the parent's
     live ``sweep`` span (ids ride back inside the snapshot).
     """
@@ -555,37 +473,17 @@ def _sweep_protocol_cell(
     from ..obs.tracectx import TraceContext, use_trace_context
 
     worker_registry = MetricsRegistry() if collect else NULL_REGISTRY
-    if profile and collect:
-        from ..obs.profile import PhaseProfiler
-
-        worker_registry.attach_diagnostics(
-            profiler=PhaseProfiler(registry=worker_registry)
-        )
     protocol, population = spec.build()
-    segment = None
-    seeds = None
-    if seeds_spec is not None:
-        from .shm import SharedArray
-
-        segment = SharedArray.attach(
-            seeds_spec, registry=worker_registry
+    with use_trace_context(TraceContext.from_dict(trace_context)):
+        result = run_protocol_cell(
+            protocol,
+            population,
+            rounds=spec.rounds,
+            repetitions=repetitions,
+            base_seed=base_seed,
+            registry=worker_registry,
+            on_error=on_error,
         )
-        seeds = segment.array[:, :draws]
-    try:
-        with use_trace_context(TraceContext.from_dict(trace_context)):
-            result = run_protocol_cell(
-                protocol,
-                population,
-                rounds=spec.rounds,
-                repetitions=repetitions,
-                base_seed=base_seed,
-                registry=worker_registry,
-                on_error=on_error,
-                seeds=seeds,
-            )
-    finally:
-        if segment is not None:
-            segment.close()
     snapshot = (
         worker_registry.snapshot(worker_id=default_worker_id())
         if collect

@@ -1,7 +1,8 @@
-"""Zero-copy shared-memory arrays for the parallel sweep drivers.
+"""Zero-copy shared-memory arrays for multi-process workers.
 
-Multi-worker sweeps ship large read-only inputs (seed matrices) and
-collect large outputs (depth matrices) across process boundaries.
+The parallel rounds grid ships a large read-only input (the word
+tensor) and collects a large output (the depth matrix) across process
+boundaries, and serve shards read shared populations.
 Pickling them through the ``ProcessPoolExecutor`` submit/return path
 copies every byte twice; a :class:`SharedArray` instead places the
 buffer in POSIX shared memory once and hands workers a tiny picklable

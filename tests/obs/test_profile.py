@@ -1,154 +1,131 @@
-"""Phase profiler: accumulation, registry mirroring, the null path."""
+"""Kernel phases as registry spans, and the per-phase JSON report."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.config import PetConfig
-from repro.obs.profile import (
-    KERNEL_PHASES,
-    NULL_PROFILER,
-    NullPhaseProfiler,
-    PhaseProfiler,
-    active_profiler,
-    registry_phase_report,
-    write_phase_json,
-)
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.span import KERNEL_PHASES, NULL_SPAN, write_phase_json
 from repro.sim.batched import BatchedExperimentEngine
+from repro.sim.experiment import ExperimentRunner
+from repro.sim.protocol_batched import ProtocolCellSpec, run_protocol_cell
 from repro.sim.workload import WorkloadSpec
 
 
+def _report(registry, tmp_path, **extra):
+    path = tmp_path / "phases.json"
+    write_phase_json(str(path), registry, extra=extra or None)
+    return json.loads(path.read_text())
+
+
 class TestPhaseProfiler:
-    def test_accumulates_seconds_and_calls(self):
-        profiler = PhaseProfiler()
+    def test_accumulates_seconds_and_calls(self, tmp_path):
+        registry = MetricsRegistry()
         for _ in range(3):
-            with profiler.phase("hash_passes"):
+            with registry.span("hash_passes"):
                 pass
-        stats = profiler.stats("hash_passes")
-        assert stats.calls == 3
-        assert stats.seconds >= 0
-        assert profiler.total_seconds == stats.seconds
+        report = _report(registry, tmp_path)
+        row = report["phases"]["hash_passes"]
+        assert row["calls"] == 3
+        assert row["seconds"] >= 0
+        assert report["total_seconds"] == row["seconds"]
 
-    def test_report_fractions_sum_to_one(self):
-        profiler = PhaseProfiler()
+    def test_report_fractions_sum_to_one(self, tmp_path):
+        registry = MetricsRegistry()
         for name in KERNEL_PHASES:
-            with profiler.phase(name):
+            with registry.span(name):
                 sum(range(1000))
-        report = profiler.report()
-        assert set(report) == set(KERNEL_PHASES)
-        total = sum(row["fraction"] for row in report.values())
-        assert abs(total - 1.0) < 1e-9
+        phases = _report(registry, tmp_path)["phases"]
+        assert set(phases) == set(KERNEL_PHASES)
+        total = sum(row["fraction"] for row in phases.values())
+        assert total == pytest.approx(1.0, abs=1e-3)
 
-    def test_exception_inside_phase_still_recorded(self):
-        profiler = PhaseProfiler()
-        try:
-            with profiler.phase("reduction"):
+    def test_exception_inside_phase_still_recorded(self, tmp_path):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            with registry.span("reduction"):
                 raise ValueError("boom")
-        except ValueError:
-            pass
-        assert profiler.stats("reduction").calls == 1
+        assert _report(registry, tmp_path)["phases"]["reduction"][
+            "calls"
+        ] == 1
 
     def test_mirrors_into_registry_histograms(self):
         registry = MetricsRegistry()
-        profiler = PhaseProfiler(registry=registry)
-        with profiler.phase("seed_matrix"):
-            pass
-        with profiler.phase("seed_matrix"):
-            pass
+        with registry.span("cell"):
+            for _ in range(2):
+                with registry.span("seed_matrix"):
+                    pass
         histograms = registry.snapshot()["histograms"]
-        assert histograms["profile.seed_matrix.seconds"]["count"] == 2
-
-    def test_track_alloc_records_net_allocations(self):
-        profiler = PhaseProfiler(track_alloc=True)
-        try:
-            with profiler.phase("hash_passes"):
-                blob = [bytearray(1 << 16) for _ in range(8)]
-            assert blob
-            assert profiler.stats("hash_passes").alloc_bytes > 0
-        finally:
-            profiler.close()
+        assert histograms["span.cell.seed_matrix.seconds"]["count"] == 2
 
     def test_write_json_artifact(self, tmp_path):
-        profiler = PhaseProfiler()
-        with profiler.phase("finalize"):
+        registry = MetricsRegistry()
+        with registry.span("finalize"):
             pass
-        path = tmp_path / "phases.json"
-        profiler.write_json(str(path), extra={"experiment": "fig4"})
-        payload = json.loads(path.read_text())
+        payload = _report(registry, tmp_path, experiment="fig4")
         assert payload["experiment"] == "fig4"
         assert payload["phases"]["finalize"]["calls"] == 1
-
-    def test_profiler_is_truthy_null_is_falsy(self):
-        assert PhaseProfiler()
-        assert not NullPhaseProfiler()
-        assert not NULL_PROFILER
 
 
 class TestNullPath:
     def test_null_phase_context_is_shared_and_inert(self):
-        one = NULL_PROFILER.phase("seed_matrix")
-        two = NULL_PROFILER.phase("hash_passes")
-        assert one is two
+        one = NULL_REGISTRY.span("seed_matrix")
+        two = NULL_REGISTRY.span("hash_passes")
+        assert one is two is NULL_SPAN
         with one:
             pass  # no state, no error
 
-    def test_active_profiler_resolution(self):
-        registry = MetricsRegistry()
-        assert active_profiler(registry) is NULL_PROFILER
-        assert active_profiler(None) is NULL_PROFILER
-        assert active_profiler(NULL_REGISTRY) is NULL_PROFILER
-        profiler = PhaseProfiler(registry=registry)
-        registry.attach_diagnostics(profiler=profiler)
-        assert active_profiler(registry) is profiler
-
 
 class TestRegistryPhaseReport:
-    def test_report_reconstructed_from_histograms(self):
+    def test_report_reconstructed_from_histograms(self, tmp_path):
         registry = MetricsRegistry()
-        profiler = PhaseProfiler(registry=registry)
-        for _ in range(4):
-            with profiler.phase("hash_passes"):
+        with registry.span("cell"):
+            for _ in range(4):
+                with registry.span("hash_passes"):
+                    pass
+        with registry.span("sweep"):
+            with registry.span("reduction"):
                 pass
-        with profiler.phase("reduction"):
-            pass
-        report = registry_phase_report(registry)
-        assert report["hash_passes"]["calls"] == 4
-        assert report["reduction"]["calls"] == 1
-        fractions = sum(row["fraction"] for row in report.values())
-        assert abs(fractions - 1.0) < 1e-9
+        phases = _report(registry, tmp_path)["phases"]
+        # Only the phase segment counts; enclosing spans are ignored.
+        assert set(phases) == {"hash_passes", "reduction"}
+        assert phases["hash_passes"]["calls"] == 4
+        assert phases["reduction"]["calls"] == 1
+        fractions = sum(row["fraction"] for row in phases.values())
+        assert fractions == pytest.approx(1.0, abs=1e-3)
 
-    def test_report_survives_snapshot_merge(self):
-        # The cross-process path: worker profiles merge into the
+    def test_report_survives_snapshot_merge(self, tmp_path):
+        # The cross-process path: worker phase spans merge into the
         # parent registry and the report reads the merged totals.
         parent = MetricsRegistry()
         for worker_index in range(2):
             worker = MetricsRegistry()
-            profiler = PhaseProfiler(registry=worker)
-            with profiler.phase("seed_matrix"):
-                pass
+            with worker.span("cell"):
+                with worker.span("seed_matrix"):
+                    pass
             parent.merge(
                 worker.snapshot(worker_id=f"pid:{worker_index}")
             )
-        report = registry_phase_report(parent)
-        assert report["seed_matrix"]["calls"] == 2
+        phases = _report(parent, tmp_path)["phases"]
+        assert phases["seed_matrix"]["calls"] == 2
 
     def test_write_phase_json_prefers_registry_totals(self, tmp_path):
         registry = MetricsRegistry()
-        profiler = PhaseProfiler(registry=registry)
-        with profiler.phase("finalize"):
+        with registry.span("finalize"):
             pass
-        path = tmp_path / "merged.json"
-        write_phase_json(
-            str(path), registry, profiler=profiler, extra={"k": "v"}
-        )
-        payload = json.loads(path.read_text())
-        assert payload["k"] == "v"
+        payload = _report(registry, tmp_path, k="v")
+        assert set(payload) == {"total_seconds", "phases", "k"}
+        assert set(payload["phases"]["finalize"]) == {
+            "seconds",
+            "calls",
+            "fraction",
+        }
         assert payload["phases"]["finalize"]["calls"] == 1
-        assert payload["track_alloc"] is False
 
 
 class TestProfiledCell:
@@ -159,17 +136,87 @@ class TestProfiledCell:
         spec = WorkloadSpec(size=500, seed=3)
         config = PetConfig(passive_tags=passive)
         plain = BatchedExperimentEngine(
-            base_seed=11, repetitions=4
+            base_seed=11, repetitions=4, registry=NULL_REGISTRY
         ).run_cell(spec, config, rounds=32)
         registry = MetricsRegistry()
-        registry.attach_diagnostics(
-            profiler=PhaseProfiler(registry=registry)
-        )
         profiled = BatchedExperimentEngine(
             base_seed=11, repetitions=4, registry=registry
         ).run_cell(spec, config, rounds=32)
         np.testing.assert_array_equal(
             plain.estimates, profiled.estimates
         )
-        report = registry_phase_report(registry)
-        assert set(KERNEL_PHASES) <= set(report)
+        assert plain.slots_per_run == profiled.slots_per_run
+        histograms = registry.snapshot()["histograms"]
+        for phase in KERNEL_PHASES:
+            assert histograms[f"span.cell.{phase}.seconds"]["count"] == 1
+
+
+def _phase_spans(run) -> Counter:
+    """Phase spans one call of ``run(registry, repetitions)`` records.
+
+    Every phase must sit directly inside its ``cell`` or ``grid`` span.
+    """
+    counts = {}
+    for repetitions in (1, 8):
+        registry = MetricsRegistry()
+        run(registry, repetitions)
+        phases = [
+            record
+            for record in registry.trace
+            if record.name in KERNEL_PHASES
+        ]
+        assert {record.path.rsplit(".", 1)[0] for record in phases} in (
+            {"cell"},
+            {"grid"},
+        )
+        counts[repetitions] = Counter(record.name for record in phases)
+    assert counts[1] == counts[8]
+    return counts[1]
+
+
+class TestPhaseSpansPerCell:
+    """A phase is one span per cell, at any repetition count."""
+
+    SPEC = WorkloadSpec(size=300, seed=5)
+
+    @pytest.mark.parametrize("passive", [True, False])
+    def test_batched_run_cell(self, passive):
+        def run(registry, repetitions):
+            BatchedExperimentEngine(
+                base_seed=3, repetitions=repetitions, registry=registry
+            ).run_cell(self.SPEC, PetConfig(passive_tags=passive), 16)
+
+        assert _phase_spans(run) == Counter(KERNEL_PHASES)
+
+    def test_serial_rounds_grid(self):
+        def run(registry, repetitions):
+            BatchedExperimentEngine(
+                base_seed=3, repetitions=repetitions, registry=registry
+            ).run_rounds_grid(
+                self.SPEC, PetConfig(passive_tags=True), [4, 8, 16]
+            )
+
+        assert _phase_spans(run) == Counter(
+            seed_matrix=1, hash_passes=1, finalize=3, reduction=3
+        )
+
+    def test_protocol_cell(self):
+        def run(registry, repetitions):
+            run_protocol_cell(
+                *ProtocolCellSpec("lof", 300, 8).build(),
+                rounds=8,
+                repetitions=repetitions,
+                registry=registry,
+            )
+
+        assert _phase_spans(run) == Counter(KERNEL_PHASES)
+
+    def test_sampled_cell(self):
+        def run(registry, repetitions):
+            ExperimentRunner(
+                base_seed=3, repetitions=repetitions, registry=registry
+            ).run_sampled(1_000, PetConfig(), 16)
+
+        assert _phase_spans(run) == Counter(
+            seed_matrix=1, hash_passes=1, reduction=1
+        )

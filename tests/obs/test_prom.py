@@ -13,7 +13,8 @@ from repro.obs import (
     parse_openmetrics,
     render_openmetrics,
 )
-from repro.obs.prom import histogram_buckets, sanitize_metric_name
+from repro.obs.metrics import bucket_index, bucket_upper_bounds
+from repro.obs.prom import sanitize_metric_name
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -91,23 +92,17 @@ class TestParseOpenmetrics:
     def test_histogram_bucket_array_round_trips(self):
         registry = _populated_registry()
         samples, _ = parse_openmetrics(render_openmetrics(registry))
-        buckets = histogram_buckets(samples, "repro_pet_gray_depth")
-        assert buckets == registry.histogram("pet.gray_depth").buckets
-
-    def test_parsed_bucket_arrays_merge_like_the_registry(self):
-        left = MetricsRegistry()
-        left.histogram("h").observe_many([0.5, 3.0, 100.0])
-        right = MetricsRegistry()
-        right.histogram("h").observe_many([-1.0, 0.5, 7.5])
-        parsed_left = histogram_buckets(
-            parse_openmetrics(render_openmetrics(left))[0], "repro_h"
-        )
-        parsed_right = histogram_buckets(
-            parse_openmetrics(render_openmetrics(right))[0], "repro_h"
-        )
-        merged = [a + b for a, b in zip(parsed_left, parsed_right)]
-        left.merge(right.snapshot())
-        assert merged == left.histogram("h").buckets
+        buckets = registry.histogram("pet.gray_depth").buckets
+        bounds = bucket_upper_bounds()
+        cumulative = 0
+        for index, count in enumerate(buckets[:-1]):
+            cumulative += count
+            if count:
+                le = f'{{le="{bounds[index]!r}"}}'
+                assert samples[f"repro_pet_gray_depth_bucket{le}"] == (
+                    cumulative
+                )
+        assert samples['repro_pet_gray_depth_bucket{le="+Inf"}'] == 3
 
     def test_malformed_labels_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -186,6 +181,20 @@ class TestExemplars:
             exemplar[0] for exemplar in exemplars.values()
         }
         assert traced == {self.TRACE, "cd" * 16}
+        # Render -> parse round trip: each exemplar keeps its value and
+        # sits on the bucket line of the band its value fell in.
+        bounds = bucket_upper_bounds()
+        prefix = "repro_serve_request_latency_seconds_bucket"
+        expected = {
+            f'{prefix}{{le="{bounds[bucket_index(value)]!r}"}}': (
+                trace_id,
+                value,
+            )
+            for trace_id, value in ((self.TRACE, 0.02), ("cd" * 16, 4.0))
+        }
+        assert {
+            sample: exemplar[:2] for sample, exemplar in exemplars.items()
+        } == expected
 
     def test_exemplar_on_non_bucket_sample_rejected(self):
         with pytest.raises(ConfigurationError, match="non-bucket"):
@@ -202,32 +211,6 @@ class TestExemplars:
                 "# EOF\n",
                 with_exemplars=True,
             )
-
-    def test_parse_export_parse_identity(self):
-        """The full round trip: parse → rebuild → re-render reaches a
-        fixed point, exemplars included."""
-        from repro.obs import registry_from_openmetrics
-
-        first = render_openmetrics(self._traced_registry())
-        rebuilt = registry_from_openmetrics(first)
-        second = render_openmetrics(rebuilt)
-        parsed_first = parse_openmetrics(first, with_exemplars=True)
-        parsed_second = parse_openmetrics(second, with_exemplars=True)
-        assert parsed_first == parsed_second
-
-    def test_rebuilt_registry_restores_bucket_exemplars(self):
-        from repro.obs import registry_from_openmetrics
-        from repro.obs.metrics import bucket_index
-
-        registry = self._traced_registry()
-        rebuilt = registry_from_openmetrics(
-            render_openmetrics(registry)
-        )
-        latency = rebuilt.histogram("serve_request_latency_seconds")
-        assert latency.exemplars is not None
-        assert (
-            latency.exemplars[bucket_index(0.02)][0] == self.TRACE
-        )
 
 
 class TestPrometheusExporter:

@@ -299,9 +299,11 @@ class TestMergedTelemetry:
     def test_cache_hits_merge_per_shard(self):
         registry = MetricsRegistry()
         requests = _stream() + _stream()  # full replay
+        # One request in flight at a time: every replay is submitted
+        # after its original was answered and cached, so each one hits.
         run_sharded(
             requests, shards=2, config=ServiceConfig(),
-            registry=registry,
+            registry=registry, concurrency=1,
         )
         snapshot = registry.snapshot()
         assert snapshot.counters["serve.cache.hits"] >= len(

@@ -199,24 +199,6 @@ class TestSweep:
             assert a.protocol == b.protocol
             assert a.estimates.tolist() == b.estimates.tolist()
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_shared_seed_matrix_matches_per_cell_derivation(
-        self, workers
-    ):
-        per_cell = sweep_protocol_cells(
-            self.SPECS, repetitions=5, base_seed=21
-        )
-        shared = sweep_protocol_cells(
-            self.SPECS,
-            repetitions=5,
-            base_seed=21,
-            workers=workers,
-            share_seeds=True,
-        )
-        for a, b in zip(per_cell, shared):
-            assert a.estimates.tolist() == b.estimates.tolist()
-            assert a.slots_per_run == b.slots_per_run
-
     def test_parallel_progress_counts_finished_cells(self, monkeypatch):
         import multiprocessing
 

@@ -9,11 +9,7 @@ from repro.config import PetConfig
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.protocol_batched import (
-    ProtocolCellSpec,
-    seed_matrix,
-    sweep_protocol_cells,
-)
+from repro.sim.protocol_batched import seed_matrix
 from repro.sim.workload import WorkloadSpec
 
 GRID = [2, 5, 8]
@@ -76,33 +72,12 @@ def test_grid_validates_inputs():
 
 
 def test_seed_matrix_columns_are_prefix_stable():
-    # The share_seeds contract: a narrow cell's seed matrix is exactly
-    # the column prefix of the widest one (full-range uint64 draws are
-    # stream-prefix-stable), so slicing cannot change any estimate.
+    # A narrow cell's seed matrix is exactly the column prefix of the
+    # widest one (full-range uint64 draws are stream-prefix-stable), so
+    # cells that differ only in rounds can share one draw and one
+    # statistics pass, reducing each prefix.
     wide = seed_matrix(2011, 6, 40)
     for draws in (1, 7, 39, 40):
         np.testing.assert_array_equal(
             seed_matrix(2011, 6, draws), wide[:, :draws]
         )
-
-
-@pytest.mark.parametrize("workers", [None, 2])
-def test_share_seeds_matches_unshared_sweep(workers):
-    specs = [
-        ProtocolCellSpec("lof", 80, 6),
-        ProtocolCellSpec("fneb", 80, 10),
-        ProtocolCellSpec("ezb", 80, 4),
-    ]
-    baseline = sweep_protocol_cells(
-        specs, repetitions=6, registry=MetricsRegistry()
-    )
-    shared = sweep_protocol_cells(
-        specs,
-        repetitions=6,
-        registry=MetricsRegistry(),
-        share_seeds=True,
-        workers=workers,
-    )
-    for a, b in zip(baseline, shared):
-        np.testing.assert_array_equal(a.estimates, b.estimates)
-        np.testing.assert_array_equal(a.statistics, b.statistics)

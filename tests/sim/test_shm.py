@@ -11,11 +11,6 @@ from repro.config import PetConfig
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.protocol_batched import (
-    ProtocolCellSpec,
-    run_protocol_cell,
-    sweep_protocol_cells,
-)
 from repro.sim.shm import SharedArray, SharedArraySpec
 from repro.sim.workload import WorkloadSpec
 
@@ -106,23 +101,7 @@ def test_creation_counts_segments_and_bytes():
 
 
 # ---------------------------------------------------------------------
-# Sweep lifecycle: serial never allocates, crashes never leak
-
-
-def test_serial_share_seeds_allocates_no_segment():
-    registry = MetricsRegistry()
-    specs = [
-        ProtocolCellSpec("lof", 64, 6),
-        ProtocolCellSpec("fneb", 64, 4),
-    ]
-    sweep_protocol_cells(
-        specs,
-        repetitions=4,
-        registry=registry,
-        share_seeds=True,
-    )
-    counters = registry.snapshot().counters
-    assert counters.get("sharedmem.segments", 0) == 0
+# Grid lifecycle: serial never allocates, crashes never leak
 
 
 def test_serial_rounds_grid_allocates_no_segment():
@@ -142,21 +121,23 @@ def test_serial_rounds_grid_allocates_no_segment():
 
 
 def test_parallel_sweep_unlinks_when_a_worker_crashes():
-    # An unbuildable spec makes the worker raise after the parent has
-    # already created the shared seed segment; the autouse fixture
-    # asserts the segment is gone regardless.
-    specs = [
-        ProtocolCellSpec("lof", 64, 6),
-        ProtocolCellSpec("no-such-protocol", 64, 6),
-    ]
-    with pytest.raises(Exception):
-        sweep_protocol_cells(
-            specs,
-            repetitions=4,
+    # A negative population seed is only rejected when a worker builds
+    # the population, after the parent has created both the word and
+    # the depth segment; the autouse fixture asserts both are gone.
+    registry = MetricsRegistry()
+    runner = ExperimentRunner(
+        base_seed=5, repetitions=4, registry=registry
+    )
+    with pytest.raises(ValueError):
+        runner.sweep_rounds(
+            WorkloadSpec(size=32, seed=-100),
+            PetConfig(tree_height=16, passive_tags=True),
+            [2, 4],
             workers=2,
-            registry=MetricsRegistry(),
-            share_seeds=True,
         )
+    counters = registry.snapshot().counters
+    assert counters["sharedmem.segments"] == 2
+    assert counters["sharedmem.unlinks"] == 2
 
 
 def test_parallel_rounds_grid_counts_and_cleans_segments():
@@ -173,17 +154,3 @@ def test_parallel_rounds_grid_counts_and_cleans_segments():
     counters = registry.snapshot().counters
     assert counters["sharedmem.segments"] == 2  # words + depths
     assert counters["sharedmem.unlinks"] == 2
-
-
-def test_cell_rejects_wrongly_shaped_seed_matrix():
-    spec = ProtocolCellSpec("lof", 64, 6)
-    protocol, population = spec.build()
-    with pytest.raises(ConfigurationError, match="shape"):
-        run_protocol_cell(
-            protocol,
-            population,
-            rounds=spec.rounds,
-            repetitions=4,
-            registry=MetricsRegistry(),
-            seeds=np.zeros((4, 3), dtype=np.uint64),
-        )

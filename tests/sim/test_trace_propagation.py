@@ -34,7 +34,7 @@ class TestSweepCellWorkerEntry:
     def test_installs_and_clears_the_given_context(self):
         ctx = TraceContext.root().child()
         _, snapshot = _sweep_cell(
-            1, 2, 100, PetConfig(), 4, True, False, ctx.to_dict()
+            1, 2, 100, PetConfig(), 4, True, ctx.to_dict()
         )
         traced = [
             record for record in snapshot.spans
@@ -52,7 +52,7 @@ class TestSweepCellWorkerEntry:
 
     def test_none_context_means_untraced_spans(self):
         _, snapshot = _sweep_cell(
-            1, 2, 100, PetConfig(), 4, True, False, None
+            1, 2, 100, PetConfig(), 4, True, None
         )
         assert all(
             record.trace_id is None for record in snapshot.spans

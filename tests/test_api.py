@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -141,6 +145,31 @@ class TestEstimate:
         assert record["relative_error"] == pytest.approx(
             (result.n_hat - 2_000) / 2_000
         )
+
+
+class TestImportCost:
+    def test_estimate_does_not_load_scipy_stats(self):
+        # scipy.stats costs about half a second of import time; only
+        # the fig-6 theory curves need it, so the facade must not.
+        script = (
+            "import sys, repro\n"
+            "repro.estimate(2_000, seed=1, rounds=32)\n"
+            "repro.estimate(2_000, 'lof', seed=1, rounds=32)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(repro.__file__), os.pardir)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert output.strip() == "False"
 
 
 class TestRequestModel:

@@ -169,6 +169,32 @@ class TestCliDiagnostics:
         assert html_default.exists()
         assert "<!DOCTYPE html>" in html_default.read_text()
 
+    def test_profile_out_sums_phase_spans_across_workers(
+        self, tmp_path, capsys
+    ):
+        from repro.figures.fig4 import DEFAULT_ROUNDS
+        from repro.sim.workload import PAPER_TAG_COUNTS
+
+        path = tmp_path / "phases.json"
+        assert main(
+            [
+                "fig4",
+                "--runs", "5",
+                "--workers", "2",
+                "--profile-out", str(path),
+            ]
+        ) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())
+        phases = payload["phases"]
+        cells = len(PAPER_TAG_COUNTS) * len(DEFAULT_ROUNDS)
+        for phase in ("seed_matrix", "hash_passes", "reduction"):
+            assert phases[phase]["calls"] == cells
+        assert sum(
+            row["fraction"] for row in phases.values()
+        ) == pytest.approx(1.0, abs=1e-3)
+        assert payload["experiment"] == "fig4"
+
     def test_registry_restored_after_diagnosed_run(self, tmp_path):
         main(["fig3", "--diagnose", str(tmp_path / "d.html")])
         assert get_registry() is NULL_REGISTRY
